@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import Sequence
 
@@ -52,15 +51,21 @@ def cone_volume(p: Polytope, facet_index: int) -> Fraction:
     return total
 
 
-@lru_cache(maxsize=None)
 def cone_volume_measure(p: Polytope) -> ConeVolumeMeasure:
-    """The cone-volume measure: one rational atom per facet."""
-    _require_origin_interior(p)
-    atoms = tuple(
-        (p.normals[i], cone_volume(p, i)) for i in range(p.facet_count)
-    )
-    total = sum(w for _, w in atoms)
-    return ConeVolumeMeasure(p.dim, atoms, total)
+    """The cone-volume measure: one rational atom per facet.
+
+    Computed once per polytope and kept in the instance dictionary, the way
+    a ``cached_property`` is, so it lives and dies with the polytope.
+    """
+    measure = p.__dict__.get("_cone_volume_measure")
+    if measure is None:
+        _require_origin_interior(p)
+        atoms = tuple(
+            (p.normals[i], cone_volume(p, i)) for i in range(p.facet_count)
+        )
+        measure = ConeVolumeMeasure(p.dim, atoms, sum(w for _, w in atoms))
+        p.__dict__["_cone_volume_measure"] = measure
+    return measure
 
 
 def pyramid_formula_check(p: Polytope) -> tuple[Fraction, Fraction, bool]:

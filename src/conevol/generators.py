@@ -25,6 +25,7 @@ from .polytope import (
     DEFAULT_DIM_CAP,
     Polytope,
     VPolytope,
+    _independent_coordinate_subset,
     centroid,
     convex_hull,
     from_reps,
@@ -76,9 +77,7 @@ def cube(n: int, *, dim_cap: int = DEFAULT_DIM_CAP) -> Polytope:
     for k in range(n):
         normals.append(-unit_vector(n, k))
         normals.append(unit_vector(n, k))
-    # the completeness certificate recurses through the whole face lattice,
-    # which explodes on high cubes; rank certificates stay affordable
-    return from_reps(verts, normals, [1] * (2 * n), validate="full" if n <= 4 else "light")
+    return from_reps(verts, normals, [1] * (2 * n))
 
 
 def cross_polytope(n: int, *, dim_cap: int = DEFAULT_DIM_CAP) -> Polytope:
@@ -105,7 +104,7 @@ def _base_centroid(base: VPolytope) -> Vector:
     flat = affine_hull(pts)
     if flat.dim == 0:
         return pts[0]
-    coords = _injective_coordinates(pts)
+    coords = _independent_coordinate_subset(pts)
     projected = convex_hull(
         [Vector(tuple(p.coords[c] for c in coords)) for p in pts],
         dim_cap=len(coords),
@@ -126,18 +125,6 @@ def _base_centroid(base: VPolytope) -> Vector:
         for i, x in enumerate(w.coords):
             out[i] += weight * x
     return Vector(tuple(out))
-
-
-def _injective_coordinates(pts: Sequence[Vector]) -> tuple[int, ...]:
-    base = pts[0]
-    diffs = [[x - y for x, y in zip(p.coords, base.coords)] for p in pts[1:]]
-    chosen: list[int] = []
-    for c in range(base.dim):
-        trial = chosen + [c]
-        cols = [[row[i] for i in trial] for row in diffs]
-        if rank_of_rows(cols) == len(trial):
-            chosen.append(c)
-    return tuple(chosen)
 
 
 def _affine_frame(pts: Sequence[Vector], dim: int) -> list[Vector]:

@@ -30,8 +30,8 @@ from .polytope import (
     DEFAULT_DIM_CAP,
     HPolytope,
     Polytope,
+    _polar_hull,
     convex_hull,
-    h_to_v,
 )
 
 APPROX_DIGITS = 12
@@ -93,7 +93,8 @@ def polytope_from_json(
 ) -> Polytope:
     """Rebuild a polytope from vertex or facet form.
 
-    Both forms go through the hull machinery, so the output is canonical
+    Vertex form is one hull of the points; facet form is one hull of the
+    normals, read back through polarity.  Either way the output is canonical
     regardless of input ordering or redundancy.
     """
     if not isinstance(doc, Mapping):
@@ -120,8 +121,7 @@ def polytope_from_json(
         tuple(parse_vector(r, n) for r in rows),
         tuple(Fraction(1) for _ in rows),
     )
-    verts = h_to_v(h, dim_cap=dim_cap)
-    return convex_hull(verts.vertices, dim_cap=dim_cap)
+    return _polar_hull(h, dim_cap=dim_cap)
 
 
 def measure_to_json(m: ConeVolumeMeasure) -> dict[str, Any]:

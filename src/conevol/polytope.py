@@ -9,18 +9,21 @@ A :class:`Polytope` carries three synchronized pieces of data:
   hulls taken before recentering, where the origin may sit on the boundary),
 * ``incidence``: for each facet, the set of vertex indices lying on it.
 
-Everything is exact.  Conversions are exhaustive-search based, which is the
-right trade-off at the dimensions this package supports (cap 6 by default):
-facets of a hull are found by scanning point subsets for supporting
-hyperplanes, and vertices of an H-polytope by scanning constraint subsets.
-Boundedness and feasibility of H-data are certified by Fourier-Motzkin
-elimination before enumeration.
+Everything is exact.  Facets of a hull are found by scanning point subsets
+for supporting hyperplanes, which is the right trade-off at the dimensions
+this package supports (cap 6 by default).  Facet-form input with positive
+right-hand sides goes through polarity: the hull of the scaled normals,
+read back through :func:`polar`.
 
-Volume and centroid use the canonical triangulation: each facet is fanned
-from its lexicographically smallest vertex (recursively, through a
-coordinate projection of the facet), and the resulting facet simplices are
-coned at an interior point (the vertex average).  Cone volumes at the origin
-reuse the same facet simplices.
+Every face below a facet is read from the incidence table alone: the facets
+of a face are the inclusion-maximal nonempty intersections of its vertex
+set with the facets of the polytope that do not contain it.  This face
+lattice is memoised on the polytope and carries both the ``full``
+completeness certificate and the pulling triangulation: a face is coned
+from its smallest vertex index over the triangulations of its facets that
+miss that vertex.  Volume and centroid cone the facet simplices at an
+interior point (the vertex average); cone volumes at the origin reuse the
+same facet simplices.
 """
 from __future__ import annotations
 
@@ -52,14 +55,12 @@ from .kernel import (
     flats_complementary,
     kernel_basis,
     rank_of_rows,
-    solve_unique,
     vector,
     zero_vector,
 )
 
 DEFAULT_DIM_CAP = 6
 _SUBSET_CAP = 400_000
-_FM_ROW_CAP = 20_000
 
 
 @dataclass(frozen=True)
@@ -100,15 +101,10 @@ class HPolytope:
 
 @dataclass(frozen=True)
 class _FacetStructure:
-    """Triangulation and ridge data of one facet.
-
-    ``simplices`` are (dim)-tuples of polytope vertex indices triangulating
-    the facet; ``ridges`` are the vertex-index sets of the facet's own
-    facets, i.e. the (dim-2)-faces of the polytope contained in this facet.
-    """
+    """Triangulation of one facet: ``simplices`` are (dim)-tuples of
+    polytope vertex indices, the facet's pulling triangulation."""
 
     simplices: tuple[tuple[int, ...], ...]
-    ridges: tuple[frozenset[int], ...]
 
 
 @dataclass(frozen=True)
@@ -165,8 +161,41 @@ class Polytope:
         return total.scale(Fraction(1, len(self.vertices)))
 
     @cached_property
+    def _facet_lists(self) -> dict[frozenset[int], tuple[frozenset[int], ...]]:
+        return {}
+
+    @cached_property
+    def _triangulations(self) -> dict[frozenset[int], tuple[tuple[int, ...], ...]]:
+        return {}
+
+    def _facets_of(self, face: frozenset[int]) -> tuple[frozenset[int], ...]:
+        """The facets of a face, read from the incidence table: the
+        inclusion-maximal nonempty sets ``face & F`` over the facets F of
+        the polytope that do not contain the face."""
+        memo = self._facet_lists
+        if face not in memo:
+            cuts = {face & tight for tight in self.incidence if not face <= tight}
+            cuts.discard(frozenset())
+            memo[face] = tuple(c for c in cuts if not any(c < d for d in cuts))
+        return memo[face]
+
+    def _triangulate(self, face: frozenset[int]) -> tuple[tuple[int, ...], ...]:
+        """Pulling triangulation of a face: its smallest vertex index coned
+        over the triangulations of its facets that miss it (pulled last)."""
+        memo = self._triangulations
+        if face not in memo:
+            apex = min(face)
+            memo[face] = ((apex,),) if len(face) == 1 else tuple(
+                s + (apex,)
+                for g in self._facets_of(face)
+                if apex not in g
+                for s in self._triangulate(g)
+            )
+        return memo[face]
+
+    @cached_property
     def facet_structure(self) -> tuple[_FacetStructure, ...]:
-        return tuple(_build_facet_structure(self, i) for i in range(self.facet_count))
+        return tuple(_FacetStructure(self._triangulate(f)) for f in self.incidence)
 
     @cached_property
     def _volume_centroid(self) -> tuple[Fraction, Vector]:
@@ -240,9 +269,8 @@ def _validate_polytope(p: Polytope, level: str) -> None:
     ``trusted`` checks containment and incidence agreement only.  ``light``
     adds the rank certificates (each vertex is a genuine vertex of the
     H-polytope, each halfspace supports a genuine facet of the hull).
-    ``full`` additionally certifies the facet list is complete: every ridge
-    of every facet lies in exactly two facets and the facet-ridge adjacency
-    graph is connected, which pins the facet set to the whole boundary.
+    ``full`` additionally certifies the facet list is complete, by
+    :func:`_certify_facet_list` on the whole polytope.
     """
     if level not in ("trusted", "light", "full"):
         raise ValueError(f"unknown validation level: {level}")
@@ -259,89 +287,47 @@ def _validate_polytope(p: Polytope, level: str) -> None:
                 raise DegenerateInput("incidence table disagrees with tightness")
     if level == "trusted":
         return
-    hom = [list(v.coords) + [ONE] for v in verts]
-    rank = rank_of_rows(hom)
-    if rank != n + 1:
-        raise DegenerateInput(f"affine rank {rank - 1} < ambient dimension {n}")
+    everything = frozenset(range(len(verts)))
+    rank = face_dim(p, everything)
+    if rank != n:
+        raise DegenerateInput(f"affine rank {rank} < ambient dimension {n}")
     for j, tight_facets in enumerate(p.vertex_facets):
         rows = [p.normals[i].coords for i in tight_facets]
         if rank_of_rows(rows) != n:
             raise DegenerateInput(f"point {verts[j].coords} is not a vertex (tight rank < {n})")
     for i, tight in enumerate(p.incidence):
-        rows = [list(verts[j].coords) + [ONE] for j in tight]
-        if rank_of_rows(rows) != n:
+        if face_dim(p, tight) != n - 1:
             raise DegenerateInput(f"halfspace {i} does not support a facet")
-    if level == "light" or n == 1:
-        return
-    ridge_owners: dict[frozenset[int], list[int]] = {}
-    for i, fs in enumerate(p.facet_structure):
-        for ridge in fs.ridges:
-            owners = [j for j, tight in enumerate(p.incidence) if ridge <= tight]
-            if len(owners) != 2:
-                raise DegenerateInput(
-                    f"ridge {sorted(ridge)} lies in {len(owners)} facets, expected 2"
-                )
-            ridge_owners.setdefault(ridge, owners)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for owners in ridge_owners.values():
-            if i in owners:
-                for j in owners:
-                    if j not in seen:
-                        seen.add(j)
-                        frontier.append(j)
-    if len(seen) != p.facet_count:
-        raise DegenerateInput("facet adjacency graph is disconnected; facet list incomplete")
+    if level == "full":
+        _certify_facet_list(p, everything, n, set())
 
 
-def _build_facet_structure(p: Polytope, facet_index: int) -> _FacetStructure:
-    """Triangulate facet ``facet_index`` and list its ridges.
+def _certify_facet_list(p: Polytope, face: frozenset[int], dim: int, done: set) -> None:
+    """Certify that the facet list read for ``face`` (a genuine face of
+    dimension ``dim``) is complete, by induction on dimension.
 
-    The facet lives in a hyperplane not parallel to coordinate axis ``k``
-    (any axis where its normal is nonzero), so dropping coordinate ``k`` is
-    an affine bijection of the facet onto a full-dimensional polytope in one
-    dimension less.  That lower hull is triangulated recursively by fanning
-    from its lexicographically smallest vertex.
+    Every listed facet must have dimension ``dim - 1``; an edge must have
+    exactly two endpoints; above that, once the facet lists of its facets
+    are certified, every ridge of the face must lie in exactly two of its
+    listed facets.  The dual graph of a face is connected, so a missing
+    facet would leave some ridge with a single listed owner.
     """
-    n = p.dim
-    member_indices = sorted(p.incidence[facet_index])
-    if n == 1:
-        return _FacetStructure(simplices=((member_indices[0],),), ridges=())
-    normal = p.normals[facet_index]
-    k = next(i for i, x in enumerate(normal.coords) if x != 0)
-    projected = []
-    back: dict[tuple[Fraction, ...], int] = {}
-    for idx in member_indices:
-        coords = tuple(x for i, x in enumerate(p.vertices[idx].coords) if i != k)
-        projected.append(Vector(coords))
-        back[coords] = idx
-    sub = convex_hull(projected, _validate="light")
-    if len(sub.vertices) != len(member_indices):
-        raise TheoremViolation("facet vertex projected to a non-extreme point")
-    sub_simplices = _fan_triangulation(sub)
-    simplices = tuple(
-        tuple(back[sub.vertices[s].coords] for s in simplex) for simplex in sub_simplices
-    )
-    ridges = tuple(
-        frozenset(back[sub.vertices[s].coords] for s in tight) for tight in sub.incidence
-    )
-    return _FacetStructure(simplices=simplices, ridges=ridges)
-
-
-def _fan_triangulation(p: Polytope) -> tuple[tuple[int, ...], ...]:
-    """Triangulate by fanning from the lexicographically smallest vertex:
-    cone vertex 0 over the triangulations of the facets that miss it."""
-    if p.dim == 1:
-        return ((0, len(p.vertices) - 1),)
-    simplices = []
-    for i, tight in enumerate(p.incidence):
-        if 0 in tight:
-            continue
-        for s in p.facet_structure[i].simplices:
-            simplices.append(s + (0,))
-    return tuple(simplices)
+    if face in done:
+        return
+    facets = p._facets_of(face)
+    if dim == 1:
+        if len(facets) != 2:
+            raise DegenerateInput(f"edge {sorted(face)} has {len(facets)} endpoints, expected 2")
+    else:
+        for g in facets:
+            if face_dim(p, g) != dim - 1:
+                raise DegenerateInput(f"face {sorted(g)} is not a facet of face {sorted(face)}")
+            _certify_facet_list(p, g, dim - 1, done)
+        for ridge in {r for g in facets for r in p._facets_of(g)}:
+            owners = sum(1 for g in facets if ridge <= g)
+            if owners != 2:
+                raise DegenerateInput(f"ridge {sorted(ridge)} lies in {owners} facets, expected 2")
+    done.add(face)
 
 
 def _volume_centroid_coned(
@@ -495,111 +481,31 @@ def convex_hull(
     )
 
 
-def _fm_eliminate(rows: list[tuple[tuple[Fraction, ...], Fraction]], var: int):
-    """One Fourier-Motzkin step on constraints <a, x> <= b, removing ``var``."""
-    pos, neg, zero = [], [], []
-    for a, b in rows:
-        if a[var] > 0:
-            pos.append((a, b))
-        elif a[var] < 0:
-            neg.append((a, b))
-        else:
-            zero.append((a, b))
-    out = {
-        _canon_fm_row(tuple(x for i, x in enumerate(a) if i != var), b)
-        for a, b in zero
-    }
-    for ap, bp in pos:
-        sp = ONE / ap[var]
-        for an, bn in neg:
-            sn = -ONE / an[var]
-            coeffs = tuple(
-                sp * x + sn * y
-                for i, (x, y) in enumerate(zip(ap, an))
-                if i != var
-            )
-            out.add(_canon_fm_row(coeffs, sp * bp + sn * bn))
-            if len(out) > _FM_ROW_CAP:
-                raise CapExceeded("Fourier-Motzkin row blowup")
-    return [(a, b) for a, b in out]
+def _polar_hull(h: HPolytope, *, dim_cap: int) -> Polytope:
+    """The polytope {x : <a_i, x> <= b_i} for positive b_i, by polarity.
 
-
-def _canon_fm_row(coeffs: tuple[Fraction, ...], rhs: Fraction):
-    g, c = _primitive_halfspace(coeffs, rhs)
-    return (tuple(Fraction(x) for x in g), Fraction(c))
-
-
-def _fm_feasible(normals: Sequence[Vector], rhs: Sequence[Fraction]) -> bool:
-    """Exact feasibility of {x : <a_i, x> <= b_i} by eliminating all variables."""
-    n = normals[0].dim if normals else 0
-    rows = [(a.coords, b) for a, b in zip(normals, rhs, strict=True)]
-    for _ in range(n):
-        rows = _fm_eliminate(rows, 0)
-    return all(b >= 0 for _, b in rows)
-
-
-def _recession_nontrivial(normals: Sequence[Vector]) -> bool:
-    """Does {y != 0 : <a_i, y> <= 0 for all i} contain a point?  Checked by
-    pinning each coordinate to +-1 in turn and testing feasibility."""
-    n = normals[0].dim
-    for k in range(n):
-        for s in (ONE, -ONE):
-            reduced_normals = []
-            reduced_rhs = []
-            for a in normals:
-                coeffs = tuple(x for i, x in enumerate(a.coords) if i != k)
-                b = -s * a.coords[k]
-                if all(x == 0 for x in coeffs):
-                    if b < 0:
-                        break
-                    continue
-                reduced_normals.append(Vector(coeffs))
-                reduced_rhs.append(b)
-            else:
-                if not reduced_normals or _fm_feasible(reduced_normals, reduced_rhs):
-                    return True
-    return False
+    It is the polar of the hull of the points a_i / b_i, and it is bounded
+    exactly when the origin is interior to that hull.
+    """
+    if any(b <= 0 for b in h.rhs):
+        raise OriginNotInterior("facet form needs positive right-hand sides")
+    points = [a.scale(ONE / b) for a, b in zip(h.normals, h.rhs, strict=True)]
+    if not points or affine_hull(points).dim < h.dim:
+        raise Unbounded("recession cone is nontrivial")
+    hull = convex_hull(points, dim_cap=dim_cap)
+    if not hull.origin_interior:
+        raise Unbounded("recession cone is nontrivial")
+    return polar(hull)
 
 
 def h_to_v(h: HPolytope, *, dim_cap: int = DEFAULT_DIM_CAP) -> VPolytope:
-    """Vertex enumeration for a bounded, nonempty H-polytope.
+    """Vertex enumeration for a bounded H-polytope with positive right-hand
+    sides (the origin strictly inside), by polarity.
 
     Raises :class:`Unbounded` when the recession cone is nontrivial and
-    :class:`DegenerateInput` when the system is infeasible.
+    :class:`OriginNotInterior` for a non-positive right-hand side.
     """
-    n = h.dim
-    if n > dim_cap:
-        raise CapExceeded(f"dimension {n} exceeds cap {dim_cap}")
-    m = len(h.normals)
-    if not _fm_feasible(h.normals, h.rhs):
-        raise DegenerateInput("infeasible constraint system")
-    if m <= n or _recession_nontrivial(h.normals):
-        raise Unbounded("recession cone is nontrivial")
-    if comb(m, n) > _SUBSET_CAP:
-        raise CapExceeded(f"vertex enumeration too large: C({m},{n})")
-    verts: set[Vector] = set()
-    for subset in itertools.combinations(range(m), n):
-        x = solve_unique([h.normals[i] for i in subset], [h.rhs[i] for i in subset])
-        if x is None:
-            continue
-        if all(a.dot(x) <= b for a, b in zip(h.normals, h.rhs)):
-            verts.add(x)
-    return VPolytope(n, tuple(sorted(verts)))
-
-
-def normalize_unit_rhs(h: HPolytope, *, dim_cap: int = DEFAULT_DIM_CAP) -> HPolytope:
-    """Irredundant unit-rhs form <a_i, x> <= 1 of a bounded H-polytope with
-    the origin strictly inside.  Raises :class:`OriginNotInterior` otherwise
-    (a zero right-hand side after reduction means the origin sits on the
-    boundary)."""
-    v = h_to_v(h, dim_cap=dim_cap)
-    poly = convex_hull(v.vertices, dim_cap=dim_cap)
-    if not poly.origin_interior:
-        on_boundary = any(b == 0 for b in poly.rhs)
-        raise OriginNotInterior(
-            "origin lies on the boundary" if on_boundary else "origin is not inside"
-        )
-    return poly.h_rep
+    return _polar_hull(h, dim_cap=dim_cap).v_rep
 
 
 def from_reps(

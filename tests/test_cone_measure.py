@@ -7,7 +7,9 @@ conv{(1,0),(0,1),(-1,-1)} splits into three cones of area 1/2 each
 """
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -85,6 +87,17 @@ class TestMeasure:
         shifted = convex_hull([v(0, 0), v(1, 0), v(0, 1)])
         with pytest.raises(OriginNotInterior):
             cone_volume_measure(shifted)
+
+    def test_cached_for_the_polytope_lifetime(self):
+        p = convex_hull([v(2, 0), v(0, 2), v(-2, -2)])
+        m = cone_volume_measure(p)
+        assert cone_volume_measure(p) is m
+        # an equal but distinct polytope computes its own measure
+        assert cone_volume_measure(convex_hull(p.vertices)) is not m
+        ref = weakref.ref(p)
+        del p
+        gc.collect()
+        assert ref() is None
 
 
 class TestPyramidFormula:

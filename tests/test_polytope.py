@@ -34,7 +34,6 @@ from conevol.polytope import (
     is_centered,
     is_pyramid,
     join,
-    normalize_unit_rhs,
     polar,
     polar_face,
     pyramid_apexes,
@@ -169,16 +168,16 @@ class TestConversions:
         out = h_to_v(h)
         assert set(out.vertices) == {v(1, 1), v(1, -1), v(-1, 1), v(-1, -1)}
 
-    def test_normalize_unit_rhs_frozen(self):
+    def test_h_to_v_positive_rhs(self):
+        # 2x <= 4 and -x <= 1 scale to the points 1/2 and -1, whose polar
+        # segment has the vertices -1 and 2
         h = HPolytope(1, (v(2), v(-1)), (F(4), F(1)))
-        out = normalize_unit_rhs(h)
-        assert out.normals == (v(-1), v(F(1, 2)))
-        assert out.rhs == (F(1), F(1))
+        assert h_to_v(h).vertices == (v(-1), v(2))
 
-    def test_normalize_rejects_boundary_origin(self):
+    def test_h_to_v_rejects_non_positive_rhs(self):
         h = HPolytope(2, (v(1, 0), v(-1, 0), v(0, 1), v(0, -1)), (F(0), F(1), F(1), F(1)))
         with pytest.raises(OriginNotInterior):
-            normalize_unit_rhs(h)
+            h_to_v(h)
 
     def test_from_reps_roundtrip_and_bad_rhs(self):
         p = convex_hull(TRI_VERTS)
