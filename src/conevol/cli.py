@@ -21,6 +21,7 @@ from typing import Any
 
 from . import __version__
 from .concentration import (
+    DEFAULT_FACET_CAP,
     detect_join_structure,
     equality_case_classification,
     full_audit,
@@ -100,6 +101,12 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="largest flat dimension to enumerate (default: dim - 1)",
+    )
+    audit.add_argument(
+        "--facet-cap",
+        type=int,
+        default=DEFAULT_FACET_CAP,
+        help=f"refuse inputs with more facets (default: {DEFAULT_FACET_CAP})",
     )
     family = audit.add_mutually_exclusive_group()
     family.add_argument(
@@ -211,7 +218,9 @@ def cmd_audit(args: argparse.Namespace) -> tuple[str, int]:
     p, echo = _load_polytope(args)
     p = _require_centered_input(p, args, echo)
     reports = [
-        r for r in full_audit(p, args.max_flat_dim) if r.kind in args.kinds
+        r
+        for r in full_audit(p, args.max_flat_dim, facet_cap=args.facet_cap)
+        if r.kind in args.kinds
     ]
     cases = equality_case_classification(p)
     violated = any(r.slack < 0 for r in reports)

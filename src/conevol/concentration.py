@@ -34,11 +34,15 @@ from .errors import (
     TooManyFacets,
 )
 from .kernel import (
+    ONE,
     AffineFlat,
     LinearSubspace,
     Vector,
     affine_hull,
     flats_complementary,
+    integer_row,
+    integer_rref,
+    kernel_basis,
     linear_span,
     subspaces_complementary,
 )
@@ -52,7 +56,7 @@ from .polytope import (
     pyramid_apexes,
     volume,
 )
-from .cone_measure import cone_volume_measure
+from .cone_measure import ConeVolumeMeasure, cone_volume_measure
 
 DEFAULT_FACET_CAP = 14
 
@@ -94,9 +98,79 @@ def require_centered(p: Polytope) -> None:
         raise TheoremViolation("centered polytope without unit-rhs h-rep")
 
 
+def _check_facet_cap(p: Polytope, facet_cap: int) -> None:
+    if p.facet_count > facet_cap:
+        raise TooManyFacets(
+            f"{p.facet_count} facets > cap {facet_cap}; "
+            "raise it with --facet-cap (facet_cap= in the library)"
+        )
+
+
+def _integer_rows(points: Sequence[Vector], *, affine: bool) -> list[list[int]]:
+    """Each point as an integer row, homogenized with a trailing 1 for affine
+    flats.  A row is a positive multiple of the point, so spans, and with
+    them membership, are unchanged."""
+    return [integer_row(p.coords + (ONE,) if affine else p.coords) for p in points]
+
+
 def _flat_members(p: Polytope, flat: AffineFlat | LinearSubspace) -> frozenset[int]:
+    """Indices of the normals in the flat: every integer annihilator row of
+    the flat is orthogonal to the normal's integer row."""
+    affine = isinstance(flat, AffineFlat)
+    width = p.dim + 1 if affine else p.dim
+    annihilator = [integer_row(a.coords) for a in kernel_basis(flat.basis, width)]
     return frozenset(
-        i for i in range(p.facet_count) if flat.contains(p.normals[i])
+        i
+        for i, row in enumerate(_integer_rows(p.normals, affine=affine))
+        if all(sum(x * y for x, y in zip(a, row)) == 0 for a in annihilator)
+    )
+
+
+def _report(
+    p: Polytope,
+    flat: AffineFlat | LinearSubspace,
+    members: frozenset[int],
+    measure: ConeVolumeMeasure,
+) -> ConcentrationReport:
+    """The report for a flat whose normal members are known.
+
+    Linear bound (dim L / n) vol(P); affine bound ((dim A + 1) / (n + 1))
+    vol(P).  On equality the complement is spanned (linear) or affinely
+    generated (affine) by the remaining normals; for a linear subspace that
+    witness is decisive, for an affine flat it is an attempt.
+    """
+    affine = isinstance(flat, AffineFlat)
+    lhs = sum((measure.weight(i) for i in members), Fraction(0))
+    if affine:
+        rhs = Fraction(flat.dim + 1, p.dim + 1) * measure.total
+    else:
+        rhs = Fraction(flat.dim, p.dim) * measure.total
+    witness = None
+    if lhs == rhs:
+        rest = [p.normals[i] for i in range(p.facet_count) if i not in members]
+        complement: AffineFlat | LinearSubspace | None
+        if affine:
+            complement = affine_hull(rest) if rest else None
+            split = complement is not None and flats_complementary(flat, complement)
+        else:
+            complement = linear_span(rest, p.dim)
+            split = subspaces_complementary(flat, complement)
+        if split:
+            witness = ComplementWitness(
+                complement=complement,
+                member_indices=members,
+                complement_indices=frozenset(range(p.facet_count)) - members,
+            )
+    return ConcentrationReport(
+        kind="affine" if affine else "linear",
+        flat=flat,
+        flat_dim=flat.dim,
+        member_indices=members,
+        lhs=lhs,
+        rhs=rhs,
+        slack=rhs - lhs,
+        equality=lhs == rhs,
+        witness=witness,
     )
 
 
@@ -116,30 +190,8 @@ def linear_scc(
         raise ValueError(
             f"subspace ambient dim {subspace.ambient_dim} != polytope dim {p.dim}"
         )
-    members = _flat_members(p, subspace)
-    measure = cone_volume_measure(p)
-    lhs = sum((measure.weight(i) for i in members), Fraction(0))
-    rhs = Fraction(subspace.dim, p.dim) * measure.total
-    witness = None
-    if lhs == rhs:
-        rest = [p.normals[i] for i in range(p.facet_count) if i not in members]
-        complement = linear_span(rest, p.dim)
-        if subspaces_complementary(subspace, complement):
-            witness = ComplementWitness(
-                complement=complement,
-                member_indices=members,
-                complement_indices=frozenset(range(p.facet_count)) - members,
-            )
-    return ConcentrationReport(
-        kind="linear",
-        flat=subspace,
-        flat_dim=subspace.dim,
-        member_indices=members,
-        lhs=lhs,
-        rhs=rhs,
-        slack=rhs - lhs,
-        equality=lhs == rhs,
-        witness=witness,
+    return _report(
+        p, subspace, _flat_members(p, subspace), cone_volume_measure(p)
     )
 
 
@@ -152,65 +204,82 @@ def affine_scc(p: Polytope, flat: AffineFlat) -> ConcentrationReport:
         )
     if flat.dim >= p.dim:
         raise ValueError("flat must be proper (dim < ambient dim)")
-    members = _flat_members(p, flat)
-    measure = cone_volume_measure(p)
-    lhs = sum((measure.weight(i) for i in members), Fraction(0))
-    rhs = Fraction(flat.dim + 1, p.dim + 1) * measure.total
-    witness = None
-    if lhs == rhs:
-        rest = [p.normals[i] for i in range(p.facet_count) if i not in members]
-        if rest:
-            complement = affine_hull(rest)
-            if flats_complementary(flat, complement):
-                witness = ComplementWitness(
-                    complement=complement,
-                    member_indices=members,
-                    complement_indices=frozenset(range(p.facet_count)) - members,
-                )
-    return ConcentrationReport(
-        kind="affine",
-        flat=flat,
-        flat_dim=flat.dim,
-        member_indices=members,
-        lhs=lhs,
-        rhs=rhs,
-        slack=rhs - lhs,
-        equality=lhs == rhs,
-        witness=witness,
-    )
+    return _report(p, flat, _flat_members(p, flat), cone_volume_measure(p))
 
 
-def _hulls_of_subsets(
+def _spanned_flats(
     points: Sequence[Vector], max_dim: int, *, affine: bool
 ) -> list[tuple[AffineFlat | LinearSubspace, frozenset[int]]]:
-    """All distinct hulls of point subsets with dim <= max_dim.
+    """Every distinct flat of dim <= max_dim spanned by a subset of points,
+    with its member index set, sorted by (dim, member tuple).
 
-    A hull is identified with its full member index set: the hull of any
-    generating subset equals the hull of all members it absorbs, so keying on
-    members dedups exactly.  Output is sorted by (dim, member tuple).
+    A depth-first walk over index-increasing subsets on the integer rows.
+    ``table`` holds the fraction-free (Bareiss) elimination of the point
+    matrix, one column per point, restricted to the rows not yet used as
+    pivots: a point lies in the span of the current subset iff its column
+    is zero.  Adding index j is one elimination step with pivot column j.
+    Two prunes make every flat appear exactly once:
+
+    * j already a member: the subset is dependent, and so is every
+      superset, whose hull a smaller independent subset spans;
+    * the new flat gains a member before j: the subset is not the greedy
+      basis of its flat (the members taken in index order, each kept iff
+      it is outside the span of those kept), and neither is any superset;
+      the flat is reached from its greedy basis instead.
+
+    The canonical flat is built once per flat, from its basis's integer
+    rows.
     """
-    n = points[0].dim
-    # a hull of dim d is generated by d+1 points (affine) or d (linear)
+    count = len(points)
     max_size = max_dim + 1 if affine else max_dim
-    by_members: dict[frozenset[int], AffineFlat | LinearSubspace] = {}
-    for size in range(1, max_size + 1):
-        for subset in combinations(range(len(points)), size):
-            chosen = [points[i] for i in subset]
-            hull: AffineFlat | LinearSubspace
-            if affine:
-                hull = affine_hull(chosen)
-            else:
-                hull = linear_span(chosen, n)
-            if hull.dim > max_dim:
+    everyone = frozenset(range(count))
+    found: list[tuple[frozenset[int], tuple[int, ...]]] = []
+
+    def zero_columns(table: list[list[int]]) -> frozenset[int]:
+        if not table:
+            return everyone
+        return frozenset(x for x, col in enumerate(zip(*table)) if not any(col))
+
+    def walk(
+        basis: tuple[int, ...],
+        members: frozenset[int],
+        table: list[list[int]],
+        prev: int,
+    ) -> None:
+        for j in range(basis[-1] + 1 if basis else 0, count):
+            if j in members:
                 continue
-            members = frozenset(
-                i for i in range(len(points)) if hull.contains(points[i])
-            )
-            by_members.setdefault(members, hull)
-    return sorted(
-        ((hull, members) for members, hull in by_members.items()),
-        key=lambda pair: (pair[0].dim, tuple(sorted(pair[1]))),
-    )
+            r = next(i for i, row in enumerate(table) if row[j])
+            pivot_row = table[r]
+            pivot = pivot_row[j]
+            child = [
+                [(pivot * a - row[j] * b) // prev for a, b in zip(row, pivot_row)]
+                for i, row in enumerate(table)
+                if i != r
+            ]
+            grown = zero_columns(child)
+            if min(grown - members) < j:
+                continue
+            found.append((grown, basis + (j,)))
+            if len(basis) + 1 < max_size:
+                walk(basis + (j,), grown, child, pivot)
+
+    rows = _integer_rows(points, affine=affine)
+    if max_size > 0:
+        table = [list(col) for col in zip(*rows)]
+        zeros = zero_columns(table)
+        if zeros:
+            # linear only: the zero vectors span the zero subspace
+            found.append((zeros, ()))
+        walk((), zeros, table, 1)
+    # a basis of a dim-d flat has d + 1 (affine) or d (linear) indices
+    found.sort(key=lambda pair: (len(pair[1]), tuple(sorted(pair[0]))))
+    n = points[0].dim if points else 0
+    flat_type = AffineFlat if affine else LinearSubspace
+    return [
+        (flat_type(n, integer_rref([rows[i] for i in basis])), members)
+        for members, basis in found
+    ]
 
 
 def enumerate_normal_flats(
@@ -222,21 +291,17 @@ def enumerate_normal_flats(
     """Every affine flat of dim <= max_dim spanned by a subset of facet normals.
 
     ``max_dim`` defaults to dim - 1 (the proper flats the affine inequality
-    ranges over); passing dim also yields the full-space hull.  Exhaustive
-    over subsets, so capped at ``facet_cap`` facets.  Deterministic order:
-    ascending flat dimension, then member index set.
+    ranges over); passing dim also yields the full-space hull.  The flat
+    count can grow like the number of normal subsets of size <= max_dim + 1,
+    so capped at ``facet_cap`` facets.  Deterministic order: ascending flat
+    dimension, then member index set.
     """
-    if p.facet_count > facet_cap:
-        raise TooManyFacets(
-            f"{p.facet_count} facets > cap {facet_cap}; raise facet_cap to force"
-        )
+    _check_facet_cap(p, facet_cap)
     if max_dim is None:
         max_dim = p.dim - 1
     if max_dim < 0:
         return []
-    return [
-        flat for flat, _ in _hulls_of_subsets(p.normals, max_dim, affine=True)
-    ]
+    return [flat for flat, _ in _spanned_flats(p.normals, max_dim, affine=True)]
 
 
 def full_audit(
@@ -246,23 +311,21 @@ def full_audit(
     facet_cap: int = DEFAULT_FACET_CAP,
 ) -> list[ConcentrationReport]:
     """Audit every normal-spanned flat: affine reports first, then linear."""
+    _check_facet_cap(p, facet_cap)
     require_centered(p)
-    if p.facet_count > facet_cap:
-        raise TooManyFacets(
-            f"{p.facet_count} facets > cap {facet_cap}; raise facet_cap to force"
-        )
     if max_flat_dim is None:
         max_flat_dim = p.dim - 1
     max_flat_dim = min(max_flat_dim, p.dim - 1)
-    reports = []
-    if max_flat_dim >= 0:
-        for flat, _ in _hulls_of_subsets(p.normals, max_flat_dim, affine=True):
-            reports.append(affine_scc(p, flat))
-        for span, _ in _hulls_of_subsets(
-            p.normals, max_flat_dim, affine=False
-        ):
-            reports.append(linear_scc(p, span))
-    return reports
+    if max_flat_dim < 0:
+        return []
+    measure = cone_volume_measure(p)
+    return [
+        _report(p, flat, members, measure)
+        for affine in (True, False)
+        for flat, members in _spanned_flats(
+            p.normals, max_flat_dim, affine=affine
+        )
+    ]
 
 
 def grunbaum_point_check(p: Polytope) -> bool:
@@ -288,7 +351,7 @@ def detect_join_structure(
     count = len(verts)
     splits = []
     seen: set[frozenset[frozenset[int]]] = set()
-    for flat, members in _hulls_of_subsets(verts, p.dim - 1, affine=True):
+    for flat, members in _spanned_flats(verts, p.dim - 1, affine=True):
         if len(members) == count:
             raise TheoremViolation("all vertices in a proper flat")
         rest = frozenset(range(count)) - members

@@ -135,11 +135,11 @@ class Polytope:
     def facet_count(self) -> int:
         return len(self.h_rep.normals)
 
-    @property
+    @cached_property
     def origin_interior(self) -> bool:
         return all(b > 0 for b in self.h_rep.rhs)
 
-    @property
+    @cached_property
     def unit_rhs(self) -> bool:
         return all(b == 1 for b in self.h_rep.rhs)
 

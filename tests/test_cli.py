@@ -147,11 +147,29 @@ class TestAudit:
             equality=False,
             witness=None,
         )
-        monkeypatch.setattr("conevol.cli.full_audit", lambda p, d: [bad])
+        monkeypatch.setattr("conevol.cli.full_audit", lambda p, d, **kw: [bad])
         _, gen_out, _ = run_cli(["gen", "--kind", "simplex", "--dim", "2"], capsys=capsys)
         code, out, _ = run_cli(["audit"], stdin=gen_out, capsys=capsys, monkeypatch=monkeypatch)
         assert code == 3
         assert json.loads(out)["violations"] == 1
+
+    def test_facet_cap_flag(self, capsys, monkeypatch):
+        # the default random 4-polytope has 27 facets, above the default cap
+        _, gen_out, _ = run_cli(["gen", "--kind", "random", "--dim", "4"], capsys=capsys)
+        code, out, err = run_cli(["audit"], stdin=gen_out, capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert "--facet-cap" in err
+        code, out, _ = run_cli(
+            ["audit", "--facet-cap", "27", "--max-flat-dim", "1"],
+            stdin=gen_out,
+            capsys=capsys,
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["polytope"]["facet_count"] == 27
+        assert doc["violations"] == 0
 
     def test_bad_json_exit_2(self, capsys, monkeypatch):
         code, _, err = run_cli(["audit"], stdin="{nope", capsys=capsys, monkeypatch=monkeypatch)
