@@ -421,8 +421,7 @@ def primitive_integer_form(values: Sequence[Fraction]) -> tuple[int, ...]:
 
     The zero tuple maps to itself.  Used for canonical hyperplane keys.
     """
-    scale = lcm(*(v.denominator for v in values)) if values else 1
-    ints = [int(v * scale) for v in values]
+    ints = integer_row(values)
     g = 0
     for x in ints:
         g = gcd(g, x)
