@@ -41,8 +41,6 @@ from .kernel import (
     affine_hull,
     flats_complementary,
     integer_row,
-    integer_rref,
-    kernel_basis,
     linear_span,
     subspaces_complementary,
 )
@@ -106,23 +104,9 @@ def _check_facet_cap(p: Polytope, facet_cap: int) -> None:
         )
 
 
-def _integer_rows(points: Sequence[Vector], *, affine: bool) -> list[list[int]]:
-    """Each point as an integer row, homogenized with a trailing 1 for affine
-    flats.  A row is a positive multiple of the point, so spans, and with
-    them membership, are unchanged."""
-    return [integer_row(p.coords + (ONE,) if affine else p.coords) for p in points]
-
-
 def _flat_members(p: Polytope, flat: AffineFlat | LinearSubspace) -> frozenset[int]:
-    """Indices of the normals in the flat: every integer annihilator row of
-    the flat is orthogonal to the normal's integer row."""
-    affine = isinstance(flat, AffineFlat)
-    width = p.dim + 1 if affine else p.dim
-    annihilator = [integer_row(a.coords) for a in kernel_basis(flat.basis, width)]
     return frozenset(
-        i
-        for i, row in enumerate(_integer_rows(p.normals, affine=affine))
-        if all(sum(x * y for x, y in zip(a, row)) == 0 for a in annihilator)
+        i for i in range(p.facet_count) if flat.contains(p.normals[i])
     )
 
 
@@ -227,8 +211,7 @@ def _spanned_flats(
       it is outside the span of those kept), and neither is any superset;
       the flat is reached from its greedy basis instead.
 
-    The canonical flat is built once per flat, from its basis's integer
-    rows.
+    The canonical flat is built once per flat, from its basis.
     """
     count = len(points)
     max_size = max_dim + 1 if affine else max_dim
@@ -264,7 +247,9 @@ def _spanned_flats(
             if len(basis) + 1 < max_size:
                 walk(basis + (j,), grown, child, pivot)
 
-    rows = _integer_rows(points, affine=affine)
+    # each point as an integer row, homogenized with a trailing 1 for affine
+    # flats: a positive multiple, so spans and membership are unchanged
+    rows = [integer_row(p.coords + (ONE,) if affine else p.coords) for p in points]
     if max_size > 0:
         table = [list(col) for col in zip(*rows)]
         zeros = zero_columns(table)
@@ -275,9 +260,13 @@ def _spanned_flats(
     # a basis of a dim-d flat has d + 1 (affine) or d (linear) indices
     found.sort(key=lambda pair: (len(pair[1]), tuple(sorted(pair[0]))))
     n = points[0].dim if points else 0
-    flat_type = AffineFlat if affine else LinearSubspace
     return [
-        (flat_type(n, integer_rref([rows[i] for i in basis])), members)
+        (
+            affine_hull([points[i] for i in basis])
+            if affine
+            else linear_span([points[i] for i in basis], n),
+            members,
+        )
         for members, basis in found
     ]
 

@@ -175,51 +175,6 @@ def integer_row(values: Sequence[Fraction]) -> list[int]:
     return [x.numerator * (scale // x.denominator) for x in values]
 
 
-def _fraction_free_rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """Fraction-free Gauss-Jordan elimination of integer rows.
-
-    Each step divides exactly by the previous pivot, so every entry stays an
-    integer minor, and at the end every pivot entry equals the last pivot d.
-    Returns the nonzero rows, which are d times the reduced row echelon form
-    (pivots chosen as in :func:`_rref_core`), and d.
-    """
-    work = [list(row) for row in rows]
-    prev = 1
-    r = 0
-    for c in range(len(work[0]) if work else 0):
-        pivot_row = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        top = work[r]
-        pivot = top[c]
-        for i, row in enumerate(work):
-            if i != r:
-                f = row[c]
-                work[i] = [(pivot * x - f * y) // prev for x, y in zip(row, top)]
-        prev = pivot
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], prev
-
-
-def integer_rref(rows: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
-    """The nonzero rows of the reduced row echelon form of integer rows: the
-    canonical basis of their span, with Fractions made only at the end."""
-    reduced, d = _fraction_free_rref(rows)
-    return tuple(
-        Vector(tuple(
-            ZERO if x == 0 else ONE if x == d else Fraction(x, d) for x in row
-        ))
-        for row in reduced
-    )
-
-
-def _integer_rank(rows: Iterable[Vector]) -> int:
-    return len(_fraction_free_rref([integer_row(row.coords) for row in rows])[0])
-
-
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """Reduced row echelon form, rank, and pivot columns (exact)."""
     rows = [list(row.coords) for row in m.rows]
@@ -358,8 +313,11 @@ def affine_hull(points: Sequence[Vector]) -> AffineFlat:
     """Affine hull of a nonempty rational point set, in canonical form."""
     if not points:
         raise DegenerateInput("affine hull of an empty point set")
-    rows = [integer_row(p.coords + (ONE,)) for p in points]
-    return AffineFlat(points[0].dim, integer_rref(rows))
+    n = points[0].dim
+    rows = [list(p.coords) + [ONE] for p in points]
+    reduced, rank, _ = _rref_core(rows)
+    basis = tuple(Vector(tuple(row)) for row in reduced[:rank])
+    return AffineFlat(n, basis)
 
 
 def flats_complementary(a: AffineFlat, b: AffineFlat) -> bool:
@@ -372,7 +330,8 @@ def flats_complementary(a: AffineFlat, b: AffineFlat) -> bool:
     total = len(a.basis) + len(b.basis)
     if total != n + 1:
         return False
-    return _integer_rank(a.basis + b.basis) == n + 1
+    stacked = [row.coords for row in a.basis] + [row.coords for row in b.basis]
+    return rank_of_rows(stacked) == n + 1
 
 
 @dataclass(frozen=True)
@@ -402,8 +361,10 @@ class LinearSubspace:
 
 def linear_span(vectors: Sequence[Vector], ambient_dim: int) -> LinearSubspace:
     """Linear span of a (possibly empty) set of vectors, in canonical form."""
-    rows = [integer_row(v.coords) for v in vectors]
-    return LinearSubspace(ambient_dim, integer_rref(rows))
+    rows = [list(v.coords) for v in vectors]
+    reduced, rank, _ = _rref_core(rows)
+    basis = tuple(Vector(tuple(row)) for row in reduced[:rank])
+    return LinearSubspace(ambient_dim, basis)
 
 
 def subspaces_complementary(a: LinearSubspace, b: LinearSubspace) -> bool:
@@ -413,7 +374,8 @@ def subspaces_complementary(a: LinearSubspace, b: LinearSubspace) -> bool:
     n = a.ambient_dim
     if a.dim + b.dim != n:
         return False
-    return _integer_rank(a.basis + b.basis) == n
+    stacked = [row.coords for row in a.basis] + [row.coords for row in b.basis]
+    return rank_of_rows(stacked) == n
 
 
 def primitive_integer_form(values: Sequence[Fraction]) -> tuple[int, ...]:

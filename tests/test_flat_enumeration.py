@@ -3,9 +3,7 @@
 The oracle is the library's former enumeration, kept here as it was: one
 Fraction reduced row echelon form for every index subset of size at most
 max_dim + 1 (affine) or max_dim (linear), m Fraction membership tests per
-subset, and a dedupe keyed on the member set.  The library now builds its
-canonical flats by integer elimination, so the oracle builds its own with
-the Fraction :func:`conevol.kernel.rref`: flats, member sets and their
+subset, and a dedupe keyed on the member set.  Flats, member sets and their
 order must agree exactly.
 """
 from __future__ import annotations
@@ -25,26 +23,13 @@ from conevol.concentration import (
 )
 from conevol.generators import GeneratorSpec, centered_simplex, cross_polytope, cube, generate
 from conevol.kernel import (
-    AffineFlat,
-    LinearSubspace,
     Vector,
+    affine_hull,
     flats_complementary,
-    integer_rref,
-    matrix,
-    rref,
+    linear_span,
     vector,
 )
 from conevol.polytope import VPolytope, convex_hull, translate_to_centroid
-
-
-def fraction_affine_hull(points):
-    reduced, _, _ = rref(matrix([p.coords + (1,) for p in points]))
-    return AffineFlat(points[0].dim, reduced.rows)
-
-
-def fraction_linear_span(points, n):
-    reduced, _, _ = rref(matrix([p.coords for p in points]))
-    return LinearSubspace(n, reduced.rows)
 
 
 def hulls_of_subsets(points, max_dim, *, affine):
@@ -57,9 +42,9 @@ def hulls_of_subsets(points, max_dim, *, affine):
         for subset in combinations(range(len(points)), size):
             chosen = [points[i] for i in subset]
             if affine:
-                hull = fraction_affine_hull(chosen)
+                hull = affine_hull(chosen)
             else:
-                hull = fraction_linear_span(chosen, n)
+                hull = linear_span(chosen, n)
             if hull.dim > max_dim:
                 continue
             members = frozenset(
@@ -85,7 +70,7 @@ def oracle_join_structure(p):
         if key in seen:
             continue
         seen.add(key)
-        other = fraction_affine_hull([verts[i] for i in rest])
+        other = affine_hull([verts[i] for i in rest])
         if not flats_complementary(flat, other):
             continue
         first, second = (members, rest) if 0 in members else (rest, members)
@@ -139,20 +124,6 @@ def test_spanned_flats_match_subset_scan(pts, affine):
         assert _spanned_flats(pts, max_dim, affine=affine) == hulls_of_subsets(
             pts, max_dim, affine=affine
         )
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=4).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=5
-        ).map(lambda rows: (n, rows))
-    )
-)
-def test_integer_rref_matches_fraction_rref(shape):
-    n, rows = shape
-    expected = rref(matrix(rows))[0].rows if rows else ()
-    assert integer_rref(rows) == expected
 
 
 @pytest.mark.parametrize(
