@@ -6,8 +6,8 @@ of linear algebra the geometric layers need:
 
 * ``Vector`` / ``Matrix`` value types (immutable, hashable, lexicographically
   ordered),
-* reduced row echelon form and rank,
-* exact determinants via fraction-free (Bareiss) elimination,
+* reduced row echelon form and rank, and exact determinants, both by
+  fraction-free (Bareiss) elimination on integer rows,
 * affine flats in homogeneous coordinates with canonical bases, membership
   tests and the complementarity test used for joins,
 * linear subspaces with the same canonical-basis treatment.
