@@ -6,8 +6,8 @@ of linear algebra the geometric layers need:
 
 * ``Vector`` / ``Matrix`` value types (immutable, hashable, lexicographically
   ordered),
-* reduced row echelon form and rank, and exact determinants, both by
-  fraction-free (Bareiss) elimination on integer rows,
+* reduced row echelon form and rank,
+* exact determinants via fraction-free (Bareiss) elimination,
 * affine flats in homogeneous coordinates with canonical bases, membership
   tests and the complementarity test used for joins,
 * linear subspaces with the same canonical-basis treatment.
@@ -132,62 +132,47 @@ def matrix(rows: Iterable[Iterable[RationalLike]]) -> Matrix:
     return Matrix(tuple(vector(row) for row in rows))
 
 
+def _rref_core(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], int, list[int]]:
+    """Reduced row echelon form of a mutable row list.
+
+    Returns (reduced rows, rank, pivot column indices).  Pivot choice is the
+    first nonzero entry in column order, which makes the output canonical for
+    a given row span.
+    """
+    if not rows:
+        return rows, 0, []
+    nrows = len(rows)
+    ncols = len(rows[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if rows[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = ONE / rows[r][c]
+        if inv != 1:
+            rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, r, pivots
+
+
 def integer_row(values: Sequence[Fraction]) -> list[int]:
     """The rational row times the least positive integer that clears its
     denominators; a positive multiple, so spans and signs are kept."""
     scale = lcm(*(x.denominator for x in values))
     return [x.numerator * (scale // x.denominator) for x in values]
-
-
-def _integer_echelon(
-    rows: Sequence[Sequence[Fraction]],
-) -> tuple[list[list[int]], int, list[int], int]:
-    """Fraction-free Gauss-Jordan elimination of rational rows.
-
-    Each row is first scaled to an integer row, which keeps the row span.
-    Every step divides exactly by the previous pivot, so the entries stay
-    integers, and at the end each pivot entry equals the last pivot d: the
-    first rank rows are d times the reduced row echelon form.  Returns
-    (rows, rank, pivot column indices, d).  Pivot choice is the first
-    nonzero entry in column order, which makes the output canonical for a
-    given row span.
-    """
-    work = [integer_row(row) for row in rows]
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(len(work[0]) if work else 0):
-        pivot_row = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        top = work[r]
-        pivot = top[c]
-        for i, row in enumerate(work):
-            if i != r:
-                f = row[c]
-                work[i] = [(pivot * x - f * y) // prev for x, y in zip(row, top)]
-        prev = pivot
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work, r, pivots, prev
-
-
-def _rref_core(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], int, list[int]]:
-    """Reduced row echelon form of rational rows.
-
-    Returns (reduced rows, rank, pivot column indices); rows past the rank
-    are zero.  Fractions are made only by the final division by d.
-    """
-    work, rank, pivots, d = _integer_echelon(rows)
-    reduced = [
-        [ZERO if x == 0 else ONE if x == d else Fraction(x, d) for x in row]
-        for row in work[:rank]
-    ]
-    reduced += [[ZERO] * len(row) for row in work[rank:]]
-    return reduced, rank, pivots
 
 
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
@@ -199,7 +184,9 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
 
 
 def rank_of_rows(rows: Sequence[Sequence[Fraction]]) -> int:
-    return _integer_echelon(rows)[1]
+    work = [list(r) for r in rows]
+    _, rank, _ = _rref_core(work)
+    return rank
 
 
 def determinant(m: Matrix) -> Fraction:

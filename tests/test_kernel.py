@@ -68,27 +68,6 @@ def affine_combination_exists(points: list[Vector], target: Vector) -> bool:
     return rank_of_rows(coeff) == rank_of_rows(augmented)
 
 
-def fraction_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Independent RREF oracle: Gauss-Jordan on Fractions, each pivot row
-    divided by its pivot.  Returns the nonzero rows and the pivot columns."""
-    rows = [list(row) for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(len(rows[0]) if rows else 0):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows[:r], pivots
-
-
 small_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 
 
@@ -134,28 +113,6 @@ class TestRref:
         assert again == reduced
         assert rank2 == rank
         assert pivots2 == pivots
-
-    @settings(max_examples=200)
-    @given(
-        st.integers(min_value=1, max_value=5).flatmap(
-            lambda ncols: st.lists(
-                st.lists(small_fractions, min_size=ncols, max_size=ncols),
-                min_size=1,
-                max_size=5,
-            )
-        ),
-        st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), small_fractions), max_size=2),
-    )
-    def test_matches_fraction_oracle(self, rows, combos):
-        # append combinations of earlier rows so rank deficiency is common
-        for i, j, f in combos:
-            a, b = rows[i % len(rows)], rows[j % len(rows)]
-            rows.append([x + f * y for x, y in zip(a, b)])
-        expected, expected_pivots = fraction_rref(rows)
-        reduced, rank, pivots = rref(matrix(rows))
-        assert [list(row.coords) for row in reduced.rows] == expected
-        assert rank == len(expected)
-        assert list(pivots) == expected_pivots
 
     def test_pivot_entries_are_one_with_clean_columns(self):
         reduced, rank, pivots = rref(matrix([[0, 2, 4], [1, 1, 1], [2, 2, 2]]))
