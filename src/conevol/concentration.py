@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -38,6 +37,7 @@ from .kernel import (
     AffineFlat,
     LinearSubspace,
     Vector,
+    _eliminate,
     affine_hull,
     flats_complementary,
     integer_row,
@@ -49,7 +49,6 @@ from .polytope import (
     VPolytope,
     centroid,
     contains_point,
-    face_dim,
     polar,
     pyramid_apexes,
     volume,
@@ -201,7 +200,8 @@ def _spanned_flats(
     ``table`` holds the fraction-free (Bareiss) elimination of the point
     matrix, one column per point, restricted to the rows not yet used as
     pivots: a point lies in the span of the current subset iff its column
-    is zero.  Adding index j is one elimination step with pivot column j.
+    is zero.  Adding index j is one :func:`~conevol.kernel._eliminate` step
+    with pivot column j.
     Two prunes make every flat appear exactly once:
 
     * j already a member: the subset is dependent, and so is every
@@ -233,19 +233,13 @@ def _spanned_flats(
             if j in members:
                 continue
             r = next(i for i, row in enumerate(table) if row[j])
-            pivot_row = table[r]
-            pivot = pivot_row[j]
-            child = [
-                [(pivot * a - row[j] * b) // prev for a, b in zip(row, pivot_row)]
-                for i, row in enumerate(table)
-                if i != r
-            ]
+            child = _eliminate(table[:r] + table[r + 1 :], table[r], j, prev)
             grown = zero_columns(child)
             if min(grown - members) < j:
                 continue
             found.append((grown, basis + (j,)))
             if len(basis) + 1 < max_size:
-                walk(basis + (j,), grown, child, pivot)
+                walk(basis + (j,), grown, child, table[r][j])
 
     # each point as an integer row, homogenized with a trailing 1 for affine
     # flats: a positive multiple, so spans and membership are unchanged
@@ -394,26 +388,23 @@ def is_simple(p: Polytope) -> bool:
 def _proper_faces_of_simple(p: Polytope) -> list[frozenset[int]]:
     """Facet index sets of the proper faces (dim 1..n-1) of a simple polytope.
 
-    At a simple vertex every subset of its n facets meets in a face, so
-    scanning those subsets reaches every proper face; faces are deduped by
-    their facet index set.
+    The faces are read from the face lattice, walking the facets of faces
+    down from the whole vertex set: a proper face has dimension at least 1
+    iff it has more than one vertex.  A face's facet set is every facet that
+    contains it.
     """
     faces: set[frozenset[int]] = set()
-    for tight in p.vertex_facets:
-        tight = sorted(tight)
-        for size in range(1, p.dim):
-            for subset in combinations(tight, size):
-                faces.add(frozenset(subset))
-    out = []
-    for facet_set in sorted(faces, key=lambda s: (len(s), tuple(sorted(s)))):
-        members = set.intersection(
-            *(set(p.incidence[i]) for i in facet_set)
-        )
-        if not members:
-            continue
-        if 1 <= face_dim(p, frozenset(members)) <= p.dim - 1:
-            out.append(facet_set)
-    return out
+    stack = [frozenset(range(len(p.vertices)))]
+    while stack:
+        for g in p._facets_of(stack.pop()):
+            if len(g) > 1 and g not in faces:
+                faces.add(g)
+                stack.append(g)
+    facet_sets = [
+        frozenset(i for i, tight in enumerate(p.incidence) if face <= tight)
+        for face in faces
+    ]
+    return sorted(facet_sets, key=lambda s: (len(s), tuple(sorted(s))))
 
 
 def equality_case_classification(p: Polytope) -> list[EqualityCase]:

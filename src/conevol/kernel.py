@@ -6,8 +6,12 @@ of linear algebra the geometric layers need:
 
 * ``Vector`` / ``Matrix`` value types (immutable, hashable, lexicographically
   ordered),
-* reduced row echelon form and rank,
-* exact determinants via fraction-free (Bareiss) elimination,
+* one exact elimination engine: each rational row is scaled once to an
+  integer row, and fraction-free Gauss-Jordan elimination runs on those
+  integers, one Bareiss step (:func:`_eliminate`) per pivot, each dividing
+  exactly by the pivot before it.  Reduced row echelon form, rank, null
+  space, unique solutions, determinants and membership tests all read
+  from it; Fractions are made only by the final division by the last pivot,
 * affine flats in homogeneous coordinates with canonical bases, membership
   tests and the complementarity test used for joins,
 * linear subspaces with the same canonical-basis treatment.
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm, prod
 from typing import Iterable, Sequence, Union
 
 from .errors import DegenerateInput
@@ -39,16 +43,6 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
-
-
-def format_rational(value: Fraction) -> str:
-    """Serialize a rational as "p/q", omitting "/q" when q = 1."""
-    return str(value)
-
-
-def parse_rational(text: str) -> Fraction:
-    """Inverse of :func:`format_rational`."""
-    return Fraction(text)
 
 
 @dataclass(frozen=True, order=True)
@@ -132,99 +126,104 @@ def matrix(rows: Iterable[Iterable[RationalLike]]) -> Matrix:
     return Matrix(tuple(vector(row) for row in rows))
 
 
-def _rref_core(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], int, list[int]]:
-    """Reduced row echelon form of a mutable row list.
-
-    Returns (reduced rows, rank, pivot column indices).  Pivot choice is the
-    first nonzero entry in column order, which makes the output canonical for
-    a given row span.
-    """
-    if not rows:
-        return rows, 0, []
-    nrows = len(rows)
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ONE / rows[r][c]
-        if inv != 1:
-            rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, r, pivots
+def _denominator_lcm(values: Sequence[Fraction]) -> int:
+    return lcm(*(x.denominator for x in values))
 
 
 def integer_row(values: Sequence[Fraction]) -> list[int]:
     """The rational row times the least positive integer that clears its
     denominators; a positive multiple, so spans and signs are kept."""
-    scale = lcm(*(x.denominator for x in values))
+    scale = _denominator_lcm(values)
     return [x.numerator * (scale // x.denominator) for x in values]
+
+
+def _eliminate(rows: Iterable[list[int]], top: list[int], c: int, prev: int) -> list[list[int]]:
+    """One fraction-free (Bareiss) step: clear column ``c`` of every row by
+    the pivot row ``top``.  Each new entry ``(top[c] * x - row[c] * y)``
+    divides exactly by ``prev``, the pivot of the step before (1 at the
+    start), so integer rows stay integer rows of the same span."""
+    pivot = top[c]
+    return [[(pivot * x - row[c] * y) // prev for x, y in zip(row, top)] for row in rows]
+
+
+def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int, list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of rational rows.
+
+    Each row is scaled once to an integer row, which keeps the row span, and
+    every step is :func:`_eliminate`.  At the end each pivot entry equals the
+    last pivot d, so the first rank rows are d times the reduced row echelon
+    form and the rows past the rank are zero; for a square matrix of full
+    rank d is the determinant of the scaled rows after the row swaps.
+    Returns (rows, rank, pivot column indices, d, number of row swaps).
+    Pivot choice is the first nonzero entry in column order, which makes the
+    output canonical for a given row span.
+    """
+    work = [integer_row(row) for row in rows]
+    pivots: list[int] = []
+    prev = 1
+    swaps = 0
+    r = 0
+    for c in range(len(work[0]) if work else 0):
+        if r == len(work):
+            break
+        pivot_row = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            work[r], work[pivot_row] = work[pivot_row], work[r]
+            swaps += 1
+        top = work[r]
+        rest = _eliminate(work[:r] + work[r + 1 :], top, c, prev)
+        work = rest[:r] + [top] + rest[r:]
+        prev = top[c]
+        pivots.append(c)
+        r += 1
+    return work, r, pivots, prev, swaps
+
+
+def _rref_core(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], int, list[int]]:
+    """Reduced row echelon form of rational rows.
+
+    Returns (the rank nonzero reduced rows, rank, pivot column indices).
+    Fractions are made only by the final division by d.
+    """
+    work, rank, pivots, d, _ = _echelon(rows)
+    reduced = [
+        [ZERO if x == 0 else ONE if x == d else Fraction(x, d) for x in row]
+        for row in work[:rank]
+    ]
+    return reduced, rank, pivots
 
 
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """Reduced row echelon form, rank, and pivot columns (exact)."""
-    rows = [list(row.coords) for row in m.rows]
-    reduced, rank, pivots = _rref_core(rows)
-    kept = tuple(Vector(tuple(row)) for row in reduced[:rank])
+    reduced, rank, pivots = _rref_core([row.coords for row in m.rows])
+    kept = tuple(Vector(tuple(row)) for row in reduced)
     return Matrix(kept), rank, tuple(pivots)
 
 
 def rank_of_rows(rows: Sequence[Sequence[Fraction]]) -> int:
-    work = [list(r) for r in rows]
-    _, rank, _ = _rref_core(work)
-    return rank
+    return _echelon(rows)[1]
 
 
 def determinant(m: Matrix) -> Fraction:
-    """Exact determinant via fraction-free (Bareiss) elimination.
-
-    Denominators are cleared row by row so the elimination runs on plain
-    integers; every interior division in the Bareiss recurrence is exact.
-    """
+    """Exact determinant from the fraction-free elimination: the last pivot
+    d of the integer rows, signed by the row swaps, over the product of the
+    row scales."""
     n = m.nrows
     if n == 0 or m.ncols != n:
         raise ValueError(f"determinant needs a nonempty square matrix, got {m.nrows}x{m.ncols}")
-    denom = 1
-    a: list[list[int]] = []
-    for row in m.rows:
-        scale = lcm(*(x.denominator for x in row.coords))
-        denom *= scale
-        a.append([int(x * scale) for x in row.coords])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return ZERO
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1], denom)
+    _, rank, _, d, swaps = _echelon([row.coords for row in m.rows])
+    if rank < n:
+        return ZERO
+    denom = prod(_denominator_lcm(row.coords) for row in m.rows)
+    return Fraction(-d if swaps % 2 else d, denom)
 
 
 def solve_unique(rows: Sequence[Vector], rhs: Sequence[Fraction]) -> Vector | None:
     """Solve a square system exactly; None when the matrix is singular."""
     n = len(rows)
-    work = [list(row.coords) + [as_fraction(b)] for row, b in zip(rows, rhs, strict=True)]
+    work = [row.coords + (as_fraction(b),) for row, b in zip(rows, rhs, strict=True)]
     reduced, rank, pivots = _rref_core(work)
     if rank < n or pivots[:n] != list(range(n)):
         return None
@@ -233,8 +232,7 @@ def solve_unique(rows: Sequence[Vector], rhs: Sequence[Fraction]) -> Vector | No
 
 def kernel_basis(rows: Sequence[Vector], ncols: int) -> list[Vector]:
     """Basis of the right null space of the row system (exact)."""
-    work = [list(row.coords) for row in rows]
-    reduced, rank, pivots = _rref_core(work)
+    reduced, rank, pivots = _rref_core([row.coords for row in rows])
     pivot_set = set(pivots)
     basis: list[Vector] = []
     for free in range(ncols):
@@ -246,22 +244,6 @@ def kernel_basis(rows: Sequence[Vector], ncols: int) -> list[Vector]:
             v[p] = -reduced[i][free]
         basis.append(Vector(tuple(v)))
     return basis
-
-
-def _reduce_against(basis: Sequence[Vector], pivots: Sequence[int], target: list[Fraction]) -> list[Fraction]:
-    for row, p in zip(basis, pivots):
-        f = target[p]
-        if f != 0:
-            target = [x - f * y for x, y in zip(target, row.coords)]
-    return target
-
-
-def _leading_indices(basis: Sequence[Vector]) -> tuple[int, ...]:
-    out = []
-    for row in basis:
-        lead = next(i for i, x in enumerate(row.coords) if x != 0)
-        out.append(lead)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -294,19 +276,8 @@ class AffineFlat:
     def contains(self, point: Vector) -> bool:
         if point.dim != self.ambient_dim:
             raise ValueError(f"point dimension {point.dim} != ambient {self.ambient_dim}")
-        target = list(point.coords) + [ONE]
-        residual = _reduce_against(self.basis, _leading_indices(self.basis), target)
-        return all(x == 0 for x in residual)
-
-    def contains_flat(self, other: "AffineFlat") -> bool:
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        pivots = _leading_indices(self.basis)
-        for row in other.basis:
-            residual = _reduce_against(self.basis, pivots, list(row.coords))
-            if any(x != 0 for x in residual):
-                return False
-        return True
+        rows = [row.coords for row in self.basis] + [point.coords + (ONE,)]
+        return rank_of_rows(rows) == len(self.basis)
 
 
 def affine_hull(points: Sequence[Vector]) -> AffineFlat:
@@ -314,9 +285,8 @@ def affine_hull(points: Sequence[Vector]) -> AffineFlat:
     if not points:
         raise DegenerateInput("affine hull of an empty point set")
     n = points[0].dim
-    rows = [list(p.coords) + [ONE] for p in points]
-    reduced, rank, _ = _rref_core(rows)
-    basis = tuple(Vector(tuple(row)) for row in reduced[:rank])
+    reduced, _, _ = _rref_core([p.coords + (ONE,) for p in points])
+    basis = tuple(Vector(tuple(row)) for row in reduced)
     return AffineFlat(n, basis)
 
 
@@ -355,15 +325,14 @@ class LinearSubspace:
     def contains(self, v: Vector) -> bool:
         if v.dim != self.ambient_dim:
             raise ValueError(f"vector dimension {v.dim} != ambient {self.ambient_dim}")
-        residual = _reduce_against(self.basis, _leading_indices(self.basis), list(v.coords))
-        return all(x == 0 for x in residual)
+        rows = [row.coords for row in self.basis] + [v.coords]
+        return rank_of_rows(rows) == len(self.basis)
 
 
 def linear_span(vectors: Sequence[Vector], ambient_dim: int) -> LinearSubspace:
     """Linear span of a (possibly empty) set of vectors, in canonical form."""
-    rows = [list(v.coords) for v in vectors]
-    reduced, rank, _ = _rref_core(rows)
-    basis = tuple(Vector(tuple(row)) for row in reduced[:rank])
+    reduced, _, _ = _rref_core([v.coords for v in vectors])
+    basis = tuple(Vector(tuple(row)) for row in reduced)
     return LinearSubspace(ambient_dim, basis)
 
 
@@ -377,19 +346,3 @@ def subspaces_complementary(a: LinearSubspace, b: LinearSubspace) -> bool:
     stacked = [row.coords for row in a.basis] + [row.coords for row in b.basis]
     return rank_of_rows(stacked) == n
 
-
-def primitive_integer_form(values: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a rational tuple to coprime integers with positive leading sign.
-
-    The zero tuple maps to itself.  Used for canonical hyperplane keys.
-    """
-    ints = integer_row(values)
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g == 0:
-        return tuple(ints)
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        g = -g
-    return tuple(x // g for x in ints)

@@ -31,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -49,10 +49,11 @@ from .kernel import (
     AffineFlat,
     Matrix,
     Vector,
-    _rref_core,
+    _echelon,
     affine_hull,
     determinant,
     flats_complementary,
+    integer_row,
     kernel_basis,
     rank_of_rows,
     vector,
@@ -85,7 +86,6 @@ class HPolytope:
     dim: int
     normals: tuple[Vector, ...]
     rhs: tuple[Fraction, ...]
-    irredundant: bool = False
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -209,12 +209,8 @@ def _sorted_vertex_tuple(points: Iterable[Vector]) -> tuple[Vector, ...]:
 def _primitive_halfspace(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[tuple[int, ...], int]:
     """Scale <g, x> <= c by a positive rational so entries become coprime
     integers.  Orientation is preserved (positive scaling only)."""
-    values = list(coeffs) + [rhs]
-    scale = lcm(*(v.denominator for v in values))
-    ints = [int(v * scale) for v in values]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    ints = integer_row(tuple(coeffs) + (rhs,))
+    g = gcd(*ints)
     if g:
         ints = [x // g for x in ints]
     return tuple(ints[:-1]), ints[-1]
@@ -256,7 +252,7 @@ def _assemble(
         incidence.append(tight)
     poly = Polytope(
         VPolytope(n, verts),
-        HPolytope(n, out_normals, out_rhs, irredundant=True),
+        HPolytope(n, out_normals, out_rhs),
         tuple(incidence),
     )
     _validate_polytope(poly, validate)
@@ -270,7 +266,10 @@ def _validate_polytope(p: Polytope, level: str) -> None:
     adds the rank certificates (each vertex is a genuine vertex of the
     H-polytope, each halfspace supports a genuine facet of the hull).
     ``full`` additionally certifies the facet list is complete, by
-    :func:`_certify_facet_list` on the whole polytope.
+    :func:`_certify_facet_list` on the whole polytope.  Only ``full`` does:
+    ``light`` and ``trusted`` accept an incomplete facet list, and the
+    volume read from it is then wrong without an error (the 3-cross-polytope
+    less its first facet gives 7/6 instead of 4/3).
     """
     if level not in ("trusted", "light", "full"):
         raise ValueError(f"unknown validation level: {level}")
@@ -516,7 +515,13 @@ def from_reps(
     validate: str = "full",
 ) -> Polytope:
     """Build a polytope from externally known representations, running the
-    consistency certificate at the requested strictness."""
+    consistency certificate at the requested strictness.
+
+    Only ``validate="full"`` certifies that the facet list is complete.
+    With ``light`` or ``trusted`` an incomplete list is accepted and
+    :func:`volume` is then wrong without an error: the 3-cross-polytope less
+    its first facet gives 7/6 instead of 4/3.
+    """
     return _assemble(
         vertices,
         tuple(normals),
@@ -556,7 +561,7 @@ def polar(p: Polytope) -> Polytope:
     ones = (ONE,) * len(p.vertices)
     dual = Polytope(
         VPolytope(p.dim, p.normals),
-        HPolytope(p.dim, p.vertices, ones, irredundant=True),
+        HPolytope(p.dim, p.vertices, ones),
         p.vertex_facets,
     )
     _validate_polytope(dual, "light")
@@ -679,8 +684,7 @@ def _independent_coordinate_subset(points: Sequence[Vector]) -> tuple[int, ...]:
     projection onto them is injective on that hull."""
     base = points[0]
     diffs = [[x - y for x, y in zip(pnt.coords, base.coords)] for pnt in points[1:]]
-    _, _, pivots = _rref_core(diffs)
-    return tuple(pivots)
+    return tuple(_echelon(diffs)[2])
 
 
 def _check_vertex_irredundant(v: VPolytope) -> None:

@@ -17,8 +17,10 @@ import pytest
 
 from conevol.errors import NotCentered, TooManyFacets
 from conevol.kernel import affine_hull, linear_span, vector
+from conevol.generators import centered_simplex, cube
 from conevol.polytope import (
     convex_hull,
+    face_dim,
     polar,
     translate,
     translate_to_centroid,
@@ -26,6 +28,7 @@ from conevol.polytope import (
 )
 from conevol.cone_measure import cone_volume_measure
 from conevol.concentration import (
+    _proper_faces_of_simple,
     affine_scc,
     detect_join_structure,
     enumerate_normal_flats,
@@ -292,6 +295,47 @@ class TestEqualityClassification:
         prism = convex_hull(pts)
         assert is_simple(prism)
         assert equality_case_classification(prism) == []
+
+
+def subset_scan_faces_of_simple(p):
+    """The former face enumeration for simple polytopes: every subset of
+    size 1..n-1 of the n facets at each vertex, deduped, kept when its facets
+    meet in a face of dimension 1..n-1."""
+    faces = set()
+    for tight in p.vertex_facets:
+        for size in range(1, p.dim):
+            faces.update(frozenset(s) for s in itertools.combinations(sorted(tight), size))
+    out = []
+    for facet_set in sorted(faces, key=lambda s: (len(s), tuple(sorted(s)))):
+        members = frozenset.intersection(*(p.incidence[i] for i in facet_set))
+        if members and 1 <= face_dim(p, members) <= p.dim - 1:
+            out.append(facet_set)
+    return out
+
+
+def simple_shapes():
+    """Cubes and simplices in dimensions 2-5, prisms over simplices in
+    dimensions 3-4, and seeded random simple polytopes in dimensions 2-4:
+    polars of centered random hulls, kept when simple."""
+    shapes = [cube(n) for n in range(2, 6)] + [centered_simplex(n) for n in range(2, 6)]
+    for n in (3, 4):
+        base = centered_simplex(n - 1).vertices
+        shapes.append(convex_hull([vector(list(b.coords) + [h]) for b in base for h in (-1, 1)]))
+    seed = 0
+    while len(shapes) < 50:
+        n = 2 + seed % 3
+        p = polar(random_centered(n, n + 4, seed))
+        seed += 1
+        if is_simple(p):
+            shapes.append(p)
+    return shapes
+
+
+def test_faces_of_simple_match_subset_scan():
+    shapes = simple_shapes()
+    assert all(is_simple(p) for p in shapes)
+    for p in shapes:
+        assert _proper_faces_of_simple(p) == subset_scan_faces_of_simple(p)
 
 
 class TestPolarInteraction:
