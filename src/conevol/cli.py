@@ -33,7 +33,6 @@ from .generators import KINDS, GeneratorSpec, generate
 from .jsonio import (
     dumps,
     equality_case_to_json,
-    fraction_to_str,
     loads,
     measure_to_json,
     polytope_from_json,
@@ -274,8 +273,8 @@ def cmd_lift(args: argparse.Namespace) -> tuple[str, int]:
             {
                 "facet": i,
                 "flat_dim": 0,
-                "weight": fraction_to_str(cone_volume_measure(p).weight(i)),
-                "levels": [fraction_to_str(x) for x in column],
+                "weight": str(cone_volume_measure(p).weight(i)),
+                "levels": [str(x) for x in column],
                 "monotone": True,
             }
         )

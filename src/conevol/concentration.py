@@ -47,7 +47,6 @@ from .kernel import (
 from .polytope import (
     Polytope,
     VPolytope,
-    centroid,
     contains_point,
     polar,
     pyramid_apexes,
@@ -88,7 +87,7 @@ class ConcentrationReport:
 
 
 def require_centered(p: Polytope) -> None:
-    if not centroid(p).is_zero():
+    if not p.centered:
         raise NotCentered("operation needs a centered polytope")
     # centered implies the origin is strictly interior
     if not p.unit_rhs:
@@ -417,15 +416,31 @@ def equality_case_classification(p: Polytope) -> list[EqualityCase]:
     * simple polytope, any face-derived flat  <->  simplex (equality at all)
 
     Any one-sided failure raises TheoremViolation.
+
+    Every flat here is the affine hull of the normals of the facets that
+    contain some face G, and its members are known without a membership
+    test.  Lemma: with unit right-hand sides, a normal a_k lies in
+    aff{a_i : G in facet i} iff G lies in facet k.  If a_k = sum l_i a_i
+    with sum l_i = 1, then <a_k, x> = sum l_i <a_i, x> = 1 for x in G; the
+    converse is trivial.  Hence:
+
+    * the singleton flat of facet i has members {i} (the normals are
+      distinct);
+    * a vertex v whose tight normals span a hyperplane flat, which is then
+      {y : <y, v> = 1}, has members ``p.vertex_facets[v]``;
+    * a face flat of a simple polytope has the face's facet set as members.
     """
     require_centered(p)
     cases = []
     apexes = pyramid_apexes(p)
     base_facets = {base for _, base in apexes}
     apex_vertices = {v for v, _ in apexes}
+    measure = cone_volume_measure(p)
 
     for i in range(p.facet_count):
-        report = affine_scc(p, affine_hull([p.normals[i]]))
+        report = _report(
+            p, affine_hull([p.normals[i]]), frozenset((i,)), measure
+        )
         if report.equality != (i in base_facets):
             raise TheoremViolation(
                 "facet equality does not match pyramid structure"
@@ -435,16 +450,15 @@ def equality_case_classification(p: Polytope) -> list[EqualityCase]:
                 EqualityCase(kind="pyramid_base", report=report, facet_index=i)
             )
 
-    for v_index in range(len(p.vertices)):
-        tight = sorted(p.vertex_facets[v_index])
-        flat = affine_hull([p.normals[i] for i in tight])
+    for v_index, tight in enumerate(p.vertex_facets):
+        flat = affine_hull([p.normals[i] for i in sorted(tight)])
         if flat.dim != p.dim - 1:
             if v_index in apex_vertices:
                 raise TheoremViolation(
                     "apex tight normals must span a hyperplane flat"
                 )
             continue
-        report = affine_scc(p, flat)
+        report = _report(p, flat, tight, measure)
         if report.equality != (v_index in apex_vertices):
             raise TheoremViolation(
                 "vertex equality does not match apex structure"
@@ -460,7 +474,7 @@ def equality_case_classification(p: Polytope) -> list[EqualityCase]:
         simplex = len(p.vertices) == p.dim + 1
         for facet_set in _proper_faces_of_simple(p):
             flat = affine_hull([p.normals[i] for i in sorted(facet_set)])
-            report = affine_scc(p, flat)
+            report = _report(p, flat, facet_set, measure)
             if report.equality != simplex:
                 raise TheoremViolation(
                     "face-flat equality does not match simplex structure"

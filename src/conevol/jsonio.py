@@ -37,10 +37,6 @@ from .polytope import (
 APPROX_DIGITS = 12
 
 
-def fraction_to_str(x: Fraction) -> str:
-    return str(x)
-
-
 def parse_fraction(text: Any) -> Fraction:
     """Exact rational from "p/q" or "p" (ints tolerated on input)."""
     if isinstance(text, bool):
@@ -63,11 +59,11 @@ def approx_str(x: Fraction) -> str:
 
 
 def rational_json(x: Fraction) -> dict[str, Any]:
-    return {"exact": fraction_to_str(x), "decimal": approx_str(x), "approx": True}
+    return {"exact": str(x), "decimal": approx_str(x), "approx": True}
 
 
 def vector_to_json(v: Vector) -> list[str]:
-    return [fraction_to_str(c) for c in v.coords]
+    return [str(c) for c in v.coords]
 
 
 def parse_vector(row: Any, dim: int) -> Vector:
@@ -127,10 +123,10 @@ def polytope_from_json(
 def measure_to_json(m: ConeVolumeMeasure) -> dict[str, Any]:
     return {
         "atoms": [
-            {"normal": vector_to_json(a), "weight": fraction_to_str(w)}
+            {"normal": vector_to_json(a), "weight": str(w)}
             for a, w in m.atoms
         ],
-        "total": fraction_to_str(m.total),
+        "total": str(m.total),
     }
 
 
@@ -149,9 +145,9 @@ def report_to_json(r: ConcentrationReport) -> dict[str, Any]:
         "kind": r.kind,
         "flat_dim": r.flat_dim,
         "member_indices": sorted(r.member_indices),
-        "lhs": fraction_to_str(r.lhs),
-        "rhs": fraction_to_str(r.rhs),
-        "slack": fraction_to_str(r.slack),
+        "lhs": str(r.lhs),
+        "rhs": str(r.rhs),
+        "slack": str(r.slack),
         "equality": r.equality,
         "witness": _witness_to_json(r.witness),
     }

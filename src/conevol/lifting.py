@@ -20,7 +20,6 @@ from .errors import CapExceeded, OriginNotInterior, TheoremViolation
 from .kernel import ONE, ZERO, AffineFlat, Vector, unit_vector
 from .polytope import (
     Polytope,
-    centroid,
     convex_hull,
     from_reps,
     volume,
@@ -163,7 +162,7 @@ def build_tower(
         if verified:
             if volume(current) != expected_vol:
                 raise TheoremViolation("lift volume scaling broken")
-            if not centroid(current).is_zero():
+            if not current.centered:
                 raise TheoremViolation("lift lost centeredness")
             measure = cone_volume_measure(current)
             by_normal = {a: w for a, w in measure.atoms}
@@ -188,7 +187,8 @@ def tower_bound(p: Polytope, flat: AffineFlat, j: int) -> Fraction:
     The lifted normals of the flat's members span a linear subspace of
     dimension d+1 at every level, so the linear inequality there bounds the
     (preserved) mass by ((d+1)/(n+j)) * vol(level j), which this evaluates
-    in closed form.  It decreases strictly in j toward the affine bound
+    in closed form, with vol(level j) = ((n+j+1)/(n+1)) * vol(P), as one
+    exact fraction.  It decreases strictly in j toward the affine bound
     (d+1)/(n+1) * vol(P).
     """
     require_centered(p)
@@ -201,8 +201,8 @@ def tower_bound(p: Polytope, flat: AffineFlat, j: int) -> Fraction:
     if j < 1:
         raise ValueError("need at least one lift")
     n = p.dim
-    return (
-        Fraction(flat.dim + 1, n + j)
-        * Fraction(n + j + 1, n + 1)
-        * volume(p)
+    vol = volume(p)
+    return Fraction(
+        (flat.dim + 1) * (n + j + 1) * vol.numerator,
+        (n + j) * (n + 1) * vol.denominator,
     )

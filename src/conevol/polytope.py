@@ -144,6 +144,11 @@ class Polytope:
         return all(b == 1 for b in self.h_rep.rhs)
 
     @cached_property
+    def centered(self) -> bool:
+        """Centroid exactly at the origin; decided once per polytope."""
+        return self._volume_centroid[1].is_zero()
+
+    @cached_property
     def vertex_facets(self) -> tuple[frozenset[int], ...]:
         """For each vertex index, the set of facet indices containing it."""
         table: list[set[int]] = [set() for _ in self.vertices]
@@ -546,7 +551,7 @@ def translate_to_centroid(p: Polytope) -> Polytope:
 
 
 def is_centered(p: Polytope) -> bool:
-    return centroid(p).is_zero()
+    return p.centered
 
 
 def polar(p: Polytope) -> Polytope:

@@ -17,7 +17,7 @@ import pytest
 
 from conevol.errors import NotCentered, TooManyFacets
 from conevol.kernel import affine_hull, linear_span, vector
-from conevol.generators import centered_simplex, cube
+from conevol.generators import GeneratorSpec, centered_simplex, cube, generate
 from conevol.polytope import (
     convex_hull,
     face_dim,
@@ -27,7 +27,9 @@ from conevol.polytope import (
     volume,
 )
 from conevol.cone_measure import cone_volume_measure
+import conevol.concentration as concentration
 from conevol.concentration import (
+    _flat_members,
     _proper_faces_of_simple,
     affine_scc,
     detect_join_structure,
@@ -336,6 +338,51 @@ def test_faces_of_simple_match_subset_scan():
     assert all(is_simple(p) for p in shapes)
     for p in shapes:
         assert _proper_faces_of_simple(p) == subset_scan_faces_of_simple(p)
+
+
+def classification_corpus():
+    """Cubes, cross-polytopes and simplices in dimensions 2-4, prisms over
+    simplices in dimensions 3-4, seeded pyramids and joins in dimensions 3-4
+    and seeded random polytopes in dimensions 2-4."""
+    specs = [GeneratorSpec(kind, n) for kind in ("cube", "cross", "simplex") for n in (2, 3, 4)]
+    specs += [GeneratorSpec(kind, n, seed=s) for kind in ("pyramid_over", "join") for n in (3, 4) for s in (1, 2)]
+    specs += [GeneratorSpec("random", n, 2 * n + 2, seed=s) for n in (2, 3, 4) for s in (1, 2, 3)]
+    shapes = [generate(spec) for spec in specs]
+    for n in (3, 4):
+        base = centered_simplex(n - 1).vertices
+        shapes.append(convex_hull([vector(list(b.coords) + [h]) for b in base for h in (-1, 1)]))
+    return shapes
+
+
+def test_classification_member_sets_match_membership(monkeypatch):
+    # the classification hands _report member sets read from the face
+    # lattice; each must equal the set the membership test finds, and no
+    # membership test or re-audit may run inside the classification
+    real_report = concentration._report
+    passed = []
+
+    def recording_report(p, flat, members, measure):
+        passed.append((flat, members))
+        return real_report(p, flat, members, measure)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("classification re-audits a flat")
+
+    kinds = set()
+    for p in classification_corpus():
+        passed.clear()
+        with monkeypatch.context() as m:
+            m.setattr(concentration, "_report", recording_report)
+            m.setattr(concentration, "affine_scc", forbidden)
+            m.setattr(concentration, "_flat_members", forbidden)
+            cases = equality_case_classification(p)
+        assert len(passed) >= p.facet_count
+        for flat, members in passed:
+            assert members == _flat_members(p, flat)
+        for case in cases:
+            kinds.add(case.kind)
+            assert case.report == affine_scc(p, case.report.flat)
+    assert kinds == {"pyramid_base", "pyramid_apex", "simplex_face"}
 
 
 class TestPolarInteraction:

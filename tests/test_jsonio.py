@@ -18,7 +18,6 @@ from conevol.concentration import full_audit
 from conevol.jsonio import (
     approx_str,
     dumps,
-    fraction_to_str,
     loads,
     measure_to_json,
     parse_fraction,
@@ -27,6 +26,7 @@ from conevol.jsonio import (
     polytope_to_json,
     rational_json,
     report_to_json,
+    vector_to_json,
 )
 
 
@@ -39,10 +39,8 @@ TRIANGLE = convex_hull([v(1, 0), v(0, 1), v(-1, -1)])
 
 class TestFractions:
     def test_to_str(self):
-        assert fraction_to_str(F(3, 2)) == "3/2"
-        assert fraction_to_str(F(4)) == "4"
-        assert fraction_to_str(F(-1, 3)) == "-1/3"
-        assert fraction_to_str(F(0)) == "0"
+        assert vector_to_json(v(F(3, 2), F(4), F(-1, 3), F(0))) == ["3/2", "4", "-1/3", "0"]
+        assert rational_json(F(6, 4))["exact"] == "3/2"
 
     def test_parse(self):
         assert parse_fraction("3/2") == F(3, 2)

@@ -8,16 +8,19 @@ under test.
 """
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
 
 from conevol.errors import CapExceeded, NotCentered, OriginNotInterior
 from conevol.kernel import affine_hull, linear_span, rank_of_rows, vector
+from conevol.generators import GeneratorSpec, cross_polytope, cube, generate
 from conevol.polytope import centroid, convex_hull, translate, translate_to_centroid, volume
 from conevol.cone_measure import cone_volume_measure
-from conevol.concentration import linear_scc
+from conevol.concentration import enumerate_normal_flats, linear_scc
 from conevol.lifting import (
     build_tower,
     lift_step,
@@ -185,3 +188,28 @@ class TestTowerBound:
         improper = affine_hull([v(1, 0), v(0, 1), v(-1, 0)])
         with pytest.raises(ValueError):
             tower_bound(TRIANGLE, improper, 1)
+        with pytest.raises(ValueError):
+            tower_bound(TRIANGLE, affine_hull([v(1, 1, 1)]), 1)
+
+    def test_matches_three_factor_product(self):
+        # the closed form against the product it replaced, on every proper
+        # affine flat of the normals and every level up to the tower cap
+        shapes = [cube(3), cross_polytope(3), generate(GeneratorSpec("random", 4, 7, seed=3))]
+        for p in shapes:
+            n = p.dim
+            for flat in enumerate_normal_flats(p):
+                for j in range(1, 21):
+                    expected = F(flat.dim + 1, n + j) * F(n + j + 1, n + 1) * volume(p)
+                    assert tower_bound(p, flat, j) == expected
+
+    def test_centered_cached_for_the_polytope_lifetime(self):
+        p = convex_hull([v(2, 0), v(0, 2), v(-2, -2)])
+        # (d+1)/(n+j) * (n+j+1)/(n+1) * vol = 1/3 * 4/3 * 6
+        assert tower_bound(p, affine_hull([v(1, 1)]), 1) == F(8, 3)
+        assert p.__dict__["centered"] is True
+        # an off-center translate decides its own centeredness
+        assert not translate(p, v(1, 0)).centered
+        ref = weakref.ref(p)
+        del p
+        gc.collect()
+        assert ref() is None
