@@ -38,12 +38,13 @@ APPROX_DIGITS = 12
 
 
 def parse_fraction(text: Any) -> Fraction:
-    """Exact rational from "p/q" or "p" (ints tolerated on input)."""
+    """Exact rational from "p/q" or "p" (ints tolerated on input); exponent
+    notation is refused, since "1e1000000" would build a million digits."""
     if isinstance(text, bool):
         raise DegenerateInput(f"not a rational: {text!r}")
     if isinstance(text, int):
         return Fraction(text)
-    if not isinstance(text, str):
+    if not isinstance(text, str) or "e" in text.lower():
         raise DegenerateInput(f"not a rational: {text!r}")
     try:
         return Fraction(text)

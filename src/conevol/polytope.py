@@ -9,11 +9,11 @@ A :class:`Polytope` carries three synchronized pieces of data:
   hulls taken before recentering, where the origin may sit on the boundary),
 * ``incidence``: for each facet, the set of vertex indices lying on it.
 
-Everything is exact.  Facets of a hull are found by scanning point subsets
-for supporting hyperplanes, which is the right trade-off at the dimensions
-this package supports (cap 6 by default).  Facet-form input with positive
-right-hand sides goes through polarity: the hull of the scaled normals,
-read back through :func:`polar`.
+Everything is exact.  Facets of a hull are found by the double description
+method on integer rows: points are inserted one at a time, and each new
+facet combines an adjacent pair of facets the point splits.  Facet-form
+input with positive right-hand sides goes through polarity: the hull of the
+scaled normals, read back through :func:`polar`.
 
 Every face below a facet is read from the incidence table alone: the facets
 of a face are the inclusion-maximal nonempty intersections of its vertex
@@ -31,7 +31,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial, gcd
+from math import factorial, gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -54,14 +55,15 @@ from .kernel import (
     determinant,
     flats_complementary,
     integer_row,
-    kernel_basis,
     rank_of_rows,
     vector,
     zero_vector,
 )
 
 DEFAULT_DIM_CAP = 6
-_SUBSET_CAP = 400_000
+# The Upper Bound Theorem facet count of 28 points in R^6: the hull of at
+# most 28 points in dimension 6 or less, and each of its prefixes, fits.
+_HULL_FACET_CAP = 2_576
 
 
 @dataclass(frozen=True)
@@ -211,14 +213,17 @@ def _sorted_vertex_tuple(points: Iterable[Vector]) -> tuple[Vector, ...]:
     return tuple(sorted(set(points)))
 
 
+def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
+    """The integer row divided by the gcd of its entries."""
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g else tuple(ints)
+
+
 def _primitive_halfspace(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[tuple[int, ...], int]:
     """Scale <g, x> <= c by a positive rational so entries become coprime
     integers.  Orientation is preserved (positive scaling only)."""
-    ints = integer_row(tuple(coeffs) + (rhs,))
-    g = gcd(*ints)
-    if g:
-        ints = [x // g for x in ints]
-    return tuple(ints[:-1]), ints[-1]
+    ints = _primitive(integer_row(tuple(coeffs) + (rhs,)))
+    return ints[:-1], ints[-1]
 
 
 def _assemble(
@@ -267,16 +272,16 @@ def _assemble(
 def _validate_polytope(p: Polytope, level: str) -> None:
     """Certify the V/H pair describes one and the same bounded polytope.
 
-    ``trusted`` checks containment and incidence agreement only.  ``light``
-    adds the rank certificates (each vertex is a genuine vertex of the
-    H-polytope, each halfspace supports a genuine facet of the hull).
-    ``full`` additionally certifies the facet list is complete, by
-    :func:`_certify_facet_list` on the whole polytope.  Only ``full`` does:
-    ``light`` and ``trusted`` accept an incomplete facet list, and the
-    volume read from it is then wrong without an error (the 3-cross-polytope
-    less its first facet gives 7/6 instead of 4/3).
+    ``trusted`` checks containment and incidence agreement only, for
+    constructions proven complete (a translate, a polar, a closed-form lift
+    above the verification cap).  It accepts an incomplete facet list, and
+    the volume read from it is then wrong without an error (the
+    3-cross-polytope less its first facet gives 7/6 instead of 4/3).
+    ``full`` adds the rank certificates (each vertex is a genuine vertex of
+    the H-polytope, each halfspace supports a genuine facet of the hull) and
+    certifies the facet list is complete by :func:`_certify_facet_list`.
     """
-    if level not in ("trusted", "light", "full"):
+    if level not in ("trusted", "full"):
         raise ValueError(f"unknown validation level: {level}")
     n = p.dim
     verts = p.vertices
@@ -302,8 +307,7 @@ def _validate_polytope(p: Polytope, level: str) -> None:
     for i, tight in enumerate(p.incidence):
         if face_dim(p, tight) != n - 1:
             raise DegenerateInput(f"halfspace {i} does not support a facet")
-    if level == "full":
-        _certify_facet_list(p, everything, n, set())
+    _certify_facet_list(p, everything, n, set())
 
 
 def _certify_facet_list(p: Polytope, face: frozenset[int], dim: int, done: set) -> None:
@@ -394,43 +398,50 @@ def contains_point(p: Polytope, x: Vector, *, strict: bool = False) -> bool:
     return True
 
 
-def _supporting_halfspaces(points: Sequence[Vector]) -> list[tuple[tuple[int, ...], int]]:
-    """All supporting halfspaces of conv(points) whose boundary meets the
-    hull in a facet, as primitive-integer pairs (g, c) meaning <g, x> <= c.
+def _supporting_halfspaces(pts: Sequence[Vector]) -> dict[tuple[int, ...], frozenset[int]]:
+    """The facets of conv(pts) by the double description method (Motzkin,
+    Raiffa, Thompson and Thrall, 1953; Fukuda and Prodon, 1996).
 
-    Scans point subsets of size n; a subset spanning a hyperplane with every
-    point on one side supports a facet.  Coplanar subsets of one facet all
-    reproduce the same canonical halfspace, so merging is a set union.
+    A facet is a primitive integer row h with h . p <= 0 on every point
+    homogenized to an integer row p = (x, 1); it maps to the indices of the
+    inserted points tight on it.  The hull starts as the simplex on n + 1
+    affinely independent points, each facet oriented away from the point it
+    omits.  A further point p replaces its visible facets f (f . p > 0) by
+    (f . p) g - (g . p) f for each adjacent invisible g: the two share at
+    least n - 1 tight points, and no third facet contains them all.  Tight
+    and interior points only join tight sets.
     """
-    n = points[0].dim
-    npts = len(points)
-    if comb(npts, n) > _SUBSET_CAP:
-        raise CapExceeded(f"hull subset scan too large: C({npts},{n})")
-    found: set[tuple[tuple[int, ...], int]] = set()
-    for subset in itertools.combinations(range(npts), n):
-        rows = [Vector(points[i].coords + (-ONE,)) for i in subset]
-        basis = kernel_basis(rows, n + 1)
-        if len(basis) != 1:
-            continue
-        g = Vector(basis[0].coords[:n])
-        c = basis[0].coords[n]
-        if g.is_zero():
-            continue
-        below = above = False
-        for pnt in points:
-            d = g.dot(pnt)
-            if d < c:
-                below = True
-            elif d > c:
-                above = True
-            if below and above:
-                break
-        if below and above:
-            continue
-        if above:
-            g, c = -g, -c
-        found.add(_primitive_halfspace(g.coords, c))
-    return sorted(found)
+    n = pts[0].dim
+    rows = [integer_row(p.coords + (ONE,)) for p in pts]
+    _, rank, simplex, _, _ = _echelon(list(zip(*rows)))
+    if rank != n + 1:
+        raise DegenerateInput(f"affine rank {rank - 1} < ambient dimension {n}")
+    # the facets are the columns of -inverse(simplex rows); _echelon leaves d * inverse
+    inverse, _, _, d, _ = _echelon([rows[i] + [int(i == k) for k in simplex] for i in simplex])
+    facets = {
+        _primitive([-d * row[n + 1 + col] for row in inverse]): frozenset(simplex) - {i}
+        for col, i in enumerate(simplex)
+    }
+    for j in sorted(set(range(len(rows))) - set(simplex)):
+        side = {h: sum(map(mul, h, rows[j])) for h in facets}
+        visible = [h for h, s in side.items() if s > 0]
+        hidden = [h for h, s in side.items() if s < 0]
+        new = {}
+        for f in visible:
+            for g in hidden:
+                common = facets[f] & facets[g]
+                if len(common) >= n - 1 and sum(common <= t for t in facets.values()) == 2:
+                    h = _primitive([side[f] * b - side[g] * a for a, b in zip(f, g)])
+                    new[h] = common | {j}
+        for h, s in side.items():
+            if s > 0:
+                del facets[h]
+            elif s == 0:
+                facets[h] |= {j}
+        facets.update(new)
+        if len(facets) > _HULL_FACET_CAP:
+            raise CapExceeded(f"hull has {len(facets)} facets, above the cap {_HULL_FACET_CAP}")
+    return facets
 
 
 def v_to_h(v: VPolytope) -> HPolytope:
@@ -443,14 +454,13 @@ def convex_hull(
     points: Sequence[Vector],
     *,
     dim_cap: int = DEFAULT_DIM_CAP,
-    _validate: str = "full",
 ) -> Polytope:
     """Convex hull of a full-dimensional rational point set.
 
     Redundant (non-extreme) points are dropped; coplanar point sets merge
     into single facets.  Raises :class:`DegenerateInput` naming the affine
     rank when the points do not span, and :class:`CapExceeded` above the
-    dimension cap.
+    dimension cap or the facet cap.
     """
     pts = _sorted_vertex_tuple(points)
     if not pts:
@@ -460,28 +470,16 @@ def convex_hull(
         raise ValueError("mixed point dimensions")
     if n > dim_cap:
         raise CapExceeded(f"dimension {n} exceeds cap {dim_cap}")
-    hom = [list(p.coords) + [ONE] for p in pts]
-    rank = rank_of_rows(hom)
-    if rank != n + 1:
-        raise DegenerateInput(f"affine rank {rank - 1} < ambient dimension {n}")
-    halfspaces = _supporting_halfspaces(pts)
-    tight_normals: list[list[Vector]] = [[] for _ in pts]
-    for g, c in halfspaces:
-        gv = vector(g)
-        for j, p in enumerate(pts):
-            if gv.dot(p) == c:
-                tight_normals[j].append(gv)
-    extreme = [
-        j
-        for j in range(len(pts))
-        if rank_of_rows([a.coords for a in tight_normals[j]]) == n
-    ]
-    kept = [pts[j] for j in extreme]
+    facets = _supporting_halfspaces(pts)
+    # a point is a vertex iff the facets through it meet in that point alone
+    meet = [frozenset(range(len(pts)))] * len(pts)
+    for tight in facets.values():
+        for j in tight:
+            meet[j] &= tight
     return _assemble(
-        kept,
-        [vector(g) for g, _ in halfspaces],
-        [Fraction(c) for _, c in halfspaces],
-        validate=_validate,
+        [p for j, p in enumerate(pts) if meet[j] == {j}],
+        [vector(h[:n]) for h in facets],
+        [Fraction(-h[n]) for h in facets],
     )
 
 
@@ -522,10 +520,10 @@ def from_reps(
     """Build a polytope from externally known representations, running the
     consistency certificate at the requested strictness.
 
-    Only ``validate="full"`` certifies that the facet list is complete.
-    With ``light`` or ``trusted`` an incomplete list is accepted and
-    :func:`volume` is then wrong without an error: the 3-cross-polytope less
-    its first facet gives 7/6 instead of 4/3.
+    ``validate="full"`` certifies that the facet list is complete.  With
+    ``trusted`` an incomplete list is accepted and :func:`volume` is then
+    wrong without an error: the 3-cross-polytope less its first facet gives
+    7/6 instead of 4/3.
     """
     return _assemble(
         vertices,
@@ -535,11 +533,11 @@ def from_reps(
     )
 
 
-def translate(p: Polytope, t: Vector, *, validate: str = "light") -> Polytope:
+def translate(p: Polytope, t: Vector) -> Polytope:
     """Translate by ``t``; representations are re-canonicalized exactly."""
     verts = [v + t for v in p.vertices]
     rhs = [b + a.dot(t) for a, b in zip(p.normals, p.rhs)]
-    return _assemble(verts, p.normals, rhs, validate=validate)
+    return _assemble(verts, p.normals, rhs, validate="trusted")
 
 
 def translate_to_centroid(p: Polytope) -> Polytope:
@@ -569,7 +567,7 @@ def polar(p: Polytope) -> Polytope:
         HPolytope(p.dim, p.vertices, ones),
         p.vertex_facets,
     )
-    _validate_polytope(dual, "light")
+    _validate_polytope(dual, "trusted")
     return dual
 
 
@@ -654,7 +652,7 @@ def section_profile_q(p: Polytope, u: Vector, t: Fraction | int) -> Fraction:
     hom = [list(q.coords) + [ONE] for q in set(projected)]
     if rank_of_rows(hom) != p.dim:
         return ZERO
-    section = convex_hull(projected, _validate="light")
+    section = convex_hull(projected)
     return volume(section) / scale
 
 
@@ -703,7 +701,7 @@ def _check_vertex_irredundant(v: VPolytope) -> None:
     if not coords:
         raise DegenerateInput("duplicate vertices")
     projected = [Vector(tuple(p.coords[c] for c in coords)) for p in pts]
-    hull = convex_hull(projected, _validate="light")
+    hull = convex_hull(projected)
     if len(hull.vertices) != len(pts):
         raise DegenerateInput("vertex list contains non-extreme points")
 

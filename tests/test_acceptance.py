@@ -204,20 +204,14 @@ def test_c03_linear_slack_and_cube_equalities(audited):
 
 
 def test_c04_lift_closed_form(randoms):
-    # Exact closed-form checks cover the whole corpus.  The independent
-    # hull re-derivation inside the lift runs on every canonical member,
-    # every dimension-2 member, and a 40-member slice per higher
-    # dimension; the remainder takes the containment-and-incidence path,
-    # whose representations the assertions below still pin to the closed
-    # form exactly.
-    verified_slice = 40
-    bases = [(cube(1), True)]
+    # Exact closed-form checks cover the whole corpus, and the independent
+    # hull re-derivation inside the lift runs on every base.
+    bases = [cube(1)]
     for n in (2, 3, 4):
-        bases += [(cube(n), True), (cross_polytope(n), True), (centered_simplex(n), True)]
-        bases += [(p, n == 2 or i < verified_slice) for i, p in enumerate(randoms[n])]
-    for q, verify in bases:
+        bases += [cube(n), cross_polytope(n), centered_simplex(n), *randoms[n]]
+    for q in bases:
         n = q.dim
-        lifted = pyramid_lift(q) if verify else pyramid_lift(q, verify_dim_cap=1)
+        lifted = pyramid_lift(q)
         assert lifted.unit_rhs
         assert set(lifted.normals) == {lift_step(n, a) for a in q.normals} | {
             unit_vector(n + 1, n)

@@ -237,6 +237,15 @@ class TestWrappers:
         _, cross_out, _ = run_cli(["gen", "--kind", "cross", "--dim", "3"], capsys=capsys)
         assert json.loads(polar_out)["vertices"] == json.loads(cross_out)["vertices"]
 
+    def test_polar_past_the_hull_facet_cap_exits_2(self, capsys, monkeypatch):
+        # 29 points on the moment curve in R^6 span 2,900 facets
+        rows = [[str(t**k) for k in range(1, 7)] for t in range(29)]
+        doc = json.dumps({"dim": 6, "vertices": rows})
+        code, out, err = run_cli(["polar"], stdin=doc, capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert "above the cap" in err and "Traceback" not in err
+
     def test_ispyramid(self, capsys, monkeypatch):
         _, gen_out, _ = run_cli(
             ["gen", "--kind", "pyramid_over", "--dim", "3", "--seed", "4"], capsys=capsys

@@ -38,7 +38,7 @@ def projected_facet_simplices(p, facet_index):
         return ((members[0],),)
     k = next(i for i, x in enumerate(p.normals[facet_index].coords) if x != 0)
     back = {tuple(x for i, x in enumerate(p.vertices[j].coords) if i != k): j for j in members}
-    sub = convex_hull([Vector(c) for c in back], _validate="light")
+    sub = convex_hull([Vector(c) for c in back])
     assert len(sub.vertices) == len(members)
     return tuple(
         tuple(back[sub.vertices[s].coords] for s in simplex) for simplex in fan_triangulation(sub)
@@ -122,9 +122,8 @@ def test_full_certificate_rejects_a_missing_facet(n):
     for drop in range(c.facet_count):
         normals = c.normals[:drop] + c.normals[drop + 1:]
         rhs = [1] * len(normals)
-        # each remaining halfspace supports a facet and every vertex keeps
-        # full tight rank, so the rank certificates cannot see the gap
-        from_reps(c.vertices, normals, rhs, validate="light")
+        # containment and incidence still agree, so trusted cannot see the gap
+        from_reps(c.vertices, normals, rhs, validate="trusted")
         with pytest.raises(DegenerateInput):
             from_reps(c.vertices, normals, rhs, validate="full")
 

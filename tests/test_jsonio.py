@@ -5,12 +5,18 @@ strings follow ``str(Fraction)`` ("p/q", bare "p" for integers).
 """
 from __future__ import annotations
 
+import io
 import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conevol.errors import DegenerateInput, Unbounded
+from conevol.cli import main
+from conevol.errors import DegenerateInput, GeometryError, Unbounded
 from conevol.kernel import vector
 from conevol.polytope import convex_hull
 from conevol.cone_measure import cone_volume_measure
@@ -47,7 +53,9 @@ class TestFractions:
         assert parse_fraction("-7") == -7
         assert parse_fraction(5) == 5
 
-    @pytest.mark.parametrize("bad", ["nope", "1/0", "", "1.5.2", True, None, 1.5, [1]])
+    @pytest.mark.parametrize(
+        "bad", ["nope", "1/0", "", "1.5.2", True, None, 1.5, [1], "1e1000000", "2E3", "3/1e2"]
+    )
     def test_parse_rejects(self, bad):
         with pytest.raises(DegenerateInput):
             parse_fraction(bad)
@@ -151,3 +159,59 @@ class TestStructures:
         assert doc["witness"]["complement_dim"] == 1
         # every field must be plain JSON
         json.dumps(doc)
+
+
+# rationals that parse, and literals that must be refused fast: malformed,
+# exponent notation, and digit strings past Python's int-conversion limit
+GOOD_LITERALS = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-3, 3), st.integers(1, 3)),
+)
+BAD_LITERALS = st.one_of(
+    st.sampled_from(
+        ["1e1000000", "-2E5", "1/0", "nan", "1.5.2", "", "9" * 5000, "1/" + "7" * 4400]
+    ),
+    st.text(max_size=6),
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def polytope_documents(draw):
+    """Vertex or facet documents in dimensions 1-3: some rows ragged, some
+    entries bad, some points repeated; facet sets are often unbounded."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    ragged = draw(st.integers(0, 3)) == 0
+    length = st.integers(min_value=n - 1, max_value=n + 1) if ragged else st.just(n)
+    entry = GOOD_LITERALS if draw(st.integers(0, 3)) else st.one_of(GOOD_LITERALS, BAD_LITERALS)
+    row = length.flatmap(lambda k: st.lists(entry, min_size=k, max_size=k))
+    rows = draw(st.lists(row, min_size=1, max_size=8))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    return {"dim": n, draw(st.sampled_from(["vertices", "normals"])): rows}
+
+
+@settings(max_examples=100, deadline=None)
+@given(polytope_documents())
+def test_fuzzed_documents_build_or_raise_input_errors(doc):
+    # the two error types the CLI reports with exit code 2
+    try:
+        polytope_from_json(doc)
+    except (GeometryError, ValueError):
+        pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(polytope_documents().map(dumps), st.text(max_size=20), st.just("1" * 5000)),
+    st.sampled_from(["polar", "ispyramid"]),
+)
+def test_fuzzed_cli_input_exits_0_or_2(text, command):
+    stdin = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", stdin), redirect_stdout(out), redirect_stderr(err):
+        code = main([command])
+    assert code in (0, 2)
+    assert (code == 0) == (err.getvalue() == "")
+    assert "Traceback" not in err.getvalue()
