@@ -14,8 +14,8 @@ from math import factorial
 from typing import Sequence
 
 from .errors import OriginNotInterior
-from .kernel import Matrix, Vector, determinant
-from .polytope import Polytope, volume
+from .kernel import Vector
+from .polytope import Polytope, _abs_det, volume
 
 
 @dataclass(frozen=True)
@@ -40,15 +40,13 @@ def _require_origin_interior(p: Polytope) -> None:
 
 
 def cone_volume(p: Polytope, facet_index: int) -> Fraction:
-    """Exact volume of conv({0} u F_i) via a full-dimensional triangulation."""
+    """Exact volume of conv({0} u F_i) via a full-dimensional triangulation:
+    the sum of |det| over the facet simplices on the polytope's integer
+    vertex rows, over n! D^n."""
     _require_origin_interior(p)
-    n = p.dim
-    fact = factorial(n)
-    total = Fraction(0)
-    for simplex in p.facet_structure[facet_index].simplices:
-        det = determinant(Matrix(tuple(p.vertices[j] for j in simplex)))
-        total += abs(det) / fact
-    return total
+    rows, scale = p._vertex_rows
+    total = sum(_abs_det([rows[j] for j in s]) for s in p.facet_structure[facet_index].simplices)
+    return Fraction(total, factorial(p.dim) * scale**p.dim)
 
 
 def cone_volume_measure(p: Polytope) -> ConeVolumeMeasure:

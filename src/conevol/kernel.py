@@ -6,12 +6,13 @@ of linear algebra the geometric layers need:
 
 * ``Vector`` / ``Matrix`` value types (immutable, hashable, lexicographically
   ordered),
-* one exact elimination engine: each rational row is scaled once to an
-  integer row, and fraction-free Gauss-Jordan elimination runs on those
-  integers, one Bareiss step (:func:`_eliminate`) per pivot, each dividing
-  exactly by the pivot before it.  Reduced row echelon form, rank, null
-  space, unique solutions, determinants and membership tests all read
-  from it; Fractions are made only by the final division by the last pivot,
+* one exact elimination engine: fraction-free Gauss-Jordan elimination on
+  integer rows, one Bareiss step (:func:`_eliminate`) per pivot, each
+  dividing exactly by the pivot before it.  Rational rows are scaled once
+  to integer rows first; rows that are integers already go in as they are.
+  Reduced row echelon form, rank, null space, unique solutions,
+  determinants and membership tests all read from it; Fractions are made
+  only by the final division by the last pivot,
 * affine flats in homogeneous coordinates with canonical bases, membership
   tests and the complementarity test used for joins,
 * linear subspaces with the same canonical-basis treatment.
@@ -24,6 +25,7 @@ and makes deduplication trivial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm, prod
 from typing import Iterable, Sequence, Union
@@ -146,19 +148,20 @@ def _eliminate(rows: Iterable[list[int]], top: list[int], c: int, prev: int) -> 
     return [[(pivot * x - row[c] * y) // prev for x, y in zip(row, top)] for row in rows]
 
 
-def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int, list[int], int, int]:
-    """Fraction-free Gauss-Jordan elimination of rational rows.
+def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int, list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows.
 
-    Each row is scaled once to an integer row, which keeps the row span, and
-    every step is :func:`_eliminate`.  At the end each pivot entry equals the
-    last pivot d, so the first rank rows are d times the reduced row echelon
-    form and the rows past the rank are zero; for a square matrix of full
-    rank d is the determinant of the scaled rows after the row swaps.
+    Rational rows are scaled to integer rows by the caller
+    (:func:`_scaled`), which keeps the row span; every step is
+    :func:`_eliminate`.  At the end each pivot entry equals the last pivot
+    d, so the first rank rows are d times the reduced row echelon form and
+    the rows past the rank are zero; for a square matrix of full rank d is
+    the determinant of the rows after the row swaps.
     Returns (rows, rank, pivot column indices, d, number of row swaps).
     Pivot choice is the first nonzero entry in column order, which makes the
     output canonical for a given row span.
     """
-    work = [integer_row(row) for row in rows]
+    work = list(rows)
     pivots: list[int] = []
     prev = 1
     swaps = 0
@@ -181,13 +184,17 @@ def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int, 
     return work, r, pivots, prev, swaps
 
 
+def _scaled(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+    return [integer_row(row) for row in rows]
+
+
 def _rref_core(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], int, list[int]]:
     """Reduced row echelon form of rational rows.
 
     Returns (the rank nonzero reduced rows, rank, pivot column indices).
     Fractions are made only by the final division by d.
     """
-    work, rank, pivots, d, _ = _echelon(rows)
+    work, rank, pivots, d, _ = _echelon(_scaled(rows))
     reduced = [
         [ZERO if x == 0 else ONE if x == d else Fraction(x, d) for x in row]
         for row in work[:rank]
@@ -203,7 +210,7 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
 
 
 def rank_of_rows(rows: Sequence[Sequence[Fraction]]) -> int:
-    return _echelon(rows)[1]
+    return _echelon(_scaled(rows))[1]
 
 
 def determinant(m: Matrix) -> Fraction:
@@ -213,7 +220,7 @@ def determinant(m: Matrix) -> Fraction:
     n = m.nrows
     if n == 0 or m.ncols != n:
         raise ValueError(f"determinant needs a nonempty square matrix, got {m.nrows}x{m.ncols}")
-    _, rank, _, d, swaps = _echelon([row.coords for row in m.rows])
+    _, rank, _, d, swaps = _echelon(_scaled([row.coords for row in m.rows]))
     if rank < n:
         return ZERO
     denom = prod(_denominator_lcm(row.coords) for row in m.rows)
@@ -273,11 +280,15 @@ class AffineFlat:
     def dim(self) -> int:
         return len(self.basis) - 1
 
+    @cached_property
+    def _rows(self) -> list[list[int]]:
+        """The basis as integer rows, scaled once per flat."""
+        return _scaled([row.coords for row in self.basis])
+
     def contains(self, point: Vector) -> bool:
         if point.dim != self.ambient_dim:
             raise ValueError(f"point dimension {point.dim} != ambient {self.ambient_dim}")
-        rows = [row.coords for row in self.basis] + [point.coords + (ONE,)]
-        return rank_of_rows(rows) == len(self.basis)
+        return _echelon(self._rows + [integer_row(point.coords + (ONE,))])[1] == len(self.basis)
 
 
 def affine_hull(points: Sequence[Vector]) -> AffineFlat:
@@ -322,11 +333,12 @@ class LinearSubspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    _rows = AffineFlat._rows
+
     def contains(self, v: Vector) -> bool:
         if v.dim != self.ambient_dim:
             raise ValueError(f"vector dimension {v.dim} != ambient {self.ambient_dim}")
-        rows = [row.coords for row in self.basis] + [v.coords]
-        return rank_of_rows(rows) == len(self.basis)
+        return _echelon(self._rows + [integer_row(v.coords)])[1] == len(self.basis)
 
 
 def linear_span(vectors: Sequence[Vector], ambient_dim: int) -> LinearSubspace:

@@ -15,6 +15,14 @@ facet combines an adjacent pair of facets the point splits.  Facet-form
 input with positive right-hand sides goes through polarity: the hull of the
 scaled normals, read back through :func:`polar`.
 
+A polytope keeps two integer forms of itself for its lifetime, as cached
+attributes: every vertex as an integer row V_j on the common denominator D
+of all vertex coordinates, and every facet as its primitive integer row
+(g_i, c_i).  Incidence (g_i . V_j == c_i D), validation, the rank
+certificates, volume, centroid and cone volumes all run on those rows
+through the kernel's one fraction-free elimination; each result becomes a
+Fraction once, at the end.
+
 Every face below a facet is read from the incidence table alone: the facets
 of a face are the inclusion-maximal nonempty intersections of its vertex
 set with the facets of the polytope that do not contain it.  This face
@@ -31,7 +39,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -48,16 +56,14 @@ from .kernel import (
     ONE,
     ZERO,
     AffineFlat,
-    Matrix,
     Vector,
     _echelon,
+    _scaled,
     affine_hull,
-    determinant,
     flats_complementary,
     integer_row,
     rank_of_rows,
     vector,
-    zero_vector,
 )
 
 DEFAULT_DIM_CAP = 6
@@ -98,7 +104,7 @@ class HPolytope:
             if a.dim != self.dim:
                 raise ValueError(f"normal dimension {a.dim} != ambient {self.dim}")
             if a.is_zero():
-                raise ValueError("zero normal vector")
+                raise DegenerateInput("zero normal vector")
 
 
 @dataclass(frozen=True)
@@ -160,14 +166,6 @@ class Polytope:
         return tuple(frozenset(s) for s in table)
 
     @cached_property
-    def interior_point(self) -> Vector:
-        """The vertex average; strictly interior for a full-dimensional polytope."""
-        total = zero_vector(self.dim)
-        for v in self.vertices:
-            total = total + v
-        return total.scale(Fraction(1, len(self.vertices)))
-
-    @cached_property
     def _facet_lists(self) -> dict[frozenset[int], tuple[frozenset[int], ...]]:
         return {}
 
@@ -205,8 +203,18 @@ class Polytope:
         return tuple(_FacetStructure(self._triangulate(f)) for f in self.incidence)
 
     @cached_property
+    def _vertex_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """Every vertex times the common denominator D of all coordinates, and D."""
+        return _denominator_rows(self.vertices)
+
+    @cached_property
+    def _facet_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Every facet <a, x> <= b as its primitive integer row (g, c)."""
+        return tuple(_primitive_halfspace(a.coords, b) for a, b in zip(self.normals, self.rhs))
+
+    @cached_property
     def _volume_centroid(self) -> tuple[Fraction, Vector]:
-        return _volume_centroid_coned(self, self.interior_point, skip_incident=False)
+        return _volume_centroid_coned(self, None)
 
 
 def _sorted_vertex_tuple(points: Iterable[Vector]) -> tuple[Vector, ...]:
@@ -217,6 +225,11 @@ def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
     """The integer row divided by the gcd of its entries."""
     g = gcd(*ints)
     return tuple(x // g for x in ints) if g else tuple(ints)
+
+
+def _denominator_rows(points: Sequence[Vector]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    scale = lcm(*(x.denominator for p in points for x in p.coords))
+    return tuple(tuple(x.numerator * (scale // x.denominator) for x in p.coords) for p in points), scale
 
 
 def _primitive_halfspace(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[tuple[int, ...], int]:
@@ -243,28 +256,24 @@ def _assemble(
     if not verts:
         raise DegenerateInput("no vertices")
     n = verts[0].dim
+    primitive = {_primitive_halfspace(a.coords, b) for a, b in zip(normals, rhs, strict=True)}
     if all(b > 0 for b in rhs):
         facets = sorted(
-            {(a.scale(ONE / b), ONE) for a, b in zip(normals, rhs, strict=True)},
-            key=lambda f: f[0].coords,
+            (Vector(tuple(Fraction(x, c) for x in g)), ONE, (g, c)) for g, c in primitive
         )
     else:
-        primitive = {_primitive_halfspace(a.coords, b) for a, b in zip(normals, rhs, strict=True)}
-        facets = [
-            (vector(g), Fraction(c))
-            for g, c in sorted(primitive)
-        ]
-    out_normals = tuple(a for a, _ in facets)
-    out_rhs = tuple(b for _, b in facets)
-    incidence = []
-    for a, b in facets:
-        tight = frozenset(j for j, v in enumerate(verts) if a.dot(v) == b)
-        incidence.append(tight)
+        facets = [(vector(g), Fraction(c), (g, c)) for g, c in sorted(primitive)]
+    rows, scale = _denominator_rows(verts)
+    incidence = tuple(
+        frozenset(j for j, v in enumerate(rows) if sum(map(mul, g, v)) == c * scale)
+        for _, _, (g, c) in facets
+    )
     poly = Polytope(
         VPolytope(n, verts),
-        HPolytope(n, out_normals, out_rhs),
-        tuple(incidence),
+        HPolytope(n, tuple(a for a, _, _ in facets), tuple(b for _, b, _ in facets)),
+        incidence,
     )
+    poly.__dict__.update(_vertex_rows=(rows, scale), _facet_rows=tuple(f for _, _, f in facets))
     _validate_polytope(poly, validate)
     return poly
 
@@ -280,6 +289,11 @@ def _validate_polytope(p: Polytope, level: str) -> None:
     ``full`` adds the rank certificates (each vertex is a genuine vertex of
     the H-polytope, each halfspace supports a genuine facet of the hull) and
     certifies the facet list is complete by :func:`_certify_facet_list`.
+
+    Every test runs on the integer rows the polytope keeps for its lifetime:
+    vertex j is the row V_j over the common denominator D, facet i the
+    primitive row (g_i, c_i), so vertex j lies on facet i iff
+    g_i . V_j == c_i D, and ranks are ranks of those rows.
     """
     if level not in ("trusted", "full"):
         raise ValueError(f"unknown validation level: {level}")
@@ -287,12 +301,15 @@ def _validate_polytope(p: Polytope, level: str) -> None:
     verts = p.vertices
     if len(verts) < n + 1:
         raise DegenerateInput(f"{len(verts)} vertices cannot span dimension {n}")
-    for (a, b), tight in zip(zip(p.normals, p.rhs), p.incidence, strict=True):
-        for j, v in enumerate(verts):
-            d = a.dot(v)
-            if d > b:
-                raise DegenerateInput(f"vertex {v.coords} violates facet {a.coords} <= {b}")
-            if (d == b) != (j in tight):
+    rows, scale = p._vertex_rows
+    facets = p._facet_rows
+    for (g, c), tight, a, b in zip(facets, p.incidence, p.normals, p.rhs, strict=True):
+        bound = c * scale
+        for j, v in enumerate(rows):
+            d = sum(map(mul, g, v))
+            if d > bound:
+                raise DegenerateInput(f"vertex {verts[j].coords} violates facet {a.coords} <= {b}")
+            if (d == bound) != (j in tight):
                 raise DegenerateInput("incidence table disagrees with tightness")
     if level == "trusted":
         return
@@ -301,8 +318,7 @@ def _validate_polytope(p: Polytope, level: str) -> None:
     if rank != n:
         raise DegenerateInput(f"affine rank {rank} < ambient dimension {n}")
     for j, tight_facets in enumerate(p.vertex_facets):
-        rows = [p.normals[i].coords for i in tight_facets]
-        if rank_of_rows(rows) != n:
+        if _echelon([facets[i][0] for i in tight_facets])[1] != n:
             raise DegenerateInput(f"point {verts[j].coords} is not a vertex (tight rank < {n})")
     for i, tight in enumerate(p.incidence):
         if face_dim(p, tight) != n - 1:
@@ -338,38 +354,49 @@ def _certify_facet_list(p: Polytope, face: frozenset[int], dim: int, done: set) 
     done.add(face)
 
 
-def _volume_centroid_coned(
-    p: Polytope, apex: Vector, *, skip_incident: bool
-) -> tuple[Fraction, Vector]:
-    """Exact volume and centroid of the cone decomposition over ``apex``.
+def _abs_det(rows: list[Sequence[int]]) -> int:
+    """|det| of a square integer matrix, read from the kernel's elimination."""
+    _, rank, _, d, _ = _echelon(rows)
+    return abs(d) if rank == len(rows) else 0
 
-    With an interior apex every facet contributes; with a vertex apex the
-    facets containing it are skipped (their cones are flat).
+
+def _volume_centroid_coned(p: Polytope, apex_index: int | None) -> tuple[Fraction, Vector]:
+    """Exact volume and centroid of the cone decomposition over an apex.
+
+    The apex is the interior point (the vertex average) when ``apex_index``
+    is None, and every facet contributes; at a vertex apex the facets
+    containing it are skipped (their cones are flat).  On the vertex rows
+    V_j over D the apex is A / (s D): the row sum over s = m vertices, or
+    V_k with s = 1.  A simplex has the rows s V_j - A over s D, so its volume
+    is |det| / (n! (s D)^n), and the determinants and the moments
+    |det| sum(V_j) add up as integers; one Fraction per result is made at
+    the end.
     """
     n = p.dim
-    fact = factorial(n)
-    total = ZERO
-    moment = zero_vector(n)
-    inv = Fraction(1, n + 1)
+    rows, scale = p._vertex_rows
+    if apex_index is None:
+        s, apex = len(rows), [sum(col) for col in zip(*rows)]
+    else:
+        s, apex = 1, rows[apex_index]
+    shifted = [[s * x - a for x, a in zip(row, apex)] for row in rows]
+    total = 0
+    moment = [0] * n
     for i, fs in enumerate(p.facet_structure):
-        if skip_incident and any(p.vertices[j] == apex for j in p.incidence[i]):
+        if apex_index in p.incidence[i]:
             continue
         for simplex in fs.simplices:
-            rows = tuple(p.vertices[j] - apex for j in simplex)
-            det = determinant(Matrix(rows))
-            if det < 0:
-                det = -det
+            det = _abs_det([shifted[j] for j in simplex])
             if det == 0:
                 raise TheoremViolation("flat simplex in a cone decomposition")
-            vol = det / fact
-            total += vol
-            csum = apex
-            for j in simplex:
-                csum = csum + p.vertices[j]
-            moment = moment + csum.scale(inv * vol)
+            total += det
+            moment = [m + det * sum(col) for m, col in zip(moment, zip(*(rows[j] for j in simplex)))]
     if total == 0:
         raise DegenerateInput("zero volume; polytope not full-dimensional")
-    return total, moment.scale(ONE / total)
+    denom = (n + 1) * total * s * scale
+    return (
+        Fraction(total, factorial(n) * (s * scale) ** n),
+        Vector(tuple(Fraction(total * a + s * m, denom) for a, m in zip(apex, moment))),
+    )
 
 
 def volume(p: Polytope) -> Fraction:
@@ -385,8 +412,7 @@ def centroid(p: Polytope) -> Vector:
 def vertex_fan_volume_centroid(p: Polytope, apex_index: int = 0) -> tuple[Fraction, Vector]:
     """Volume and centroid by a second, independent decomposition: cones over
     the facets that miss one vertex.  Used as a cross-check oracle."""
-    apex = p.vertices[apex_index]
-    return _volume_centroid_coned(p, apex, skip_incident=True)
+    return _volume_centroid_coned(p, range(len(p.vertices))[apex_index])
 
 
 def contains_point(p: Polytope, x: Vector, *, strict: bool = False) -> bool:
@@ -613,8 +639,8 @@ def polar_face(p: Polytope, vertex_indices: Iterable[int]) -> frozenset[int]:
 
 def face_dim(p: Polytope, vertex_indices: Iterable[int]) -> int:
     """Dimension of the affine hull of the given vertices."""
-    rows = [list(p.vertices[i].coords) + [ONE] for i in vertex_indices]
-    return rank_of_rows(rows) - 1
+    rows, scale = p._vertex_rows
+    return _echelon([rows[i] + (scale,) for i in vertex_indices])[1] - 1
 
 
 def section_profile_q(p: Polytope, u: Vector, t: Fraction | int) -> Fraction:
@@ -687,7 +713,7 @@ def _independent_coordinate_subset(points: Sequence[Vector]) -> tuple[int, ...]:
     projection onto them is injective on that hull."""
     base = points[0]
     diffs = [[x - y for x, y in zip(pnt.coords, base.coords)] for pnt in points[1:]]
-    return tuple(_echelon(diffs)[2])
+    return tuple(_echelon(_scaled(diffs))[2])
 
 
 def _check_vertex_irredundant(v: VPolytope) -> None:

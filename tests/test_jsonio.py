@@ -126,6 +126,22 @@ class TestPolytopeInterchange:
         with pytest.raises(Unbounded):
             polytope_from_json({"dim": 2, "normals": [["1", "0"]]})
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"dim": 1, "normals": [["0"]]},
+            {"dim": 2, "normals": [["1", "0"], ["0", "0"], ["-1", "1"], ["0", "-1"]]},
+        ],
+    )
+    def test_zero_normal_is_degenerate_input(self, doc):
+        with pytest.raises(DegenerateInput, match="zero normal vector"):
+            polytope_from_json(doc)
+        stdin = io.TextIOWrapper(io.BytesIO(dumps(doc).encode()), encoding="utf-8")
+        err = io.StringIO()
+        with mock.patch.object(sys, "stdin", stdin), redirect_stdout(io.StringIO()), redirect_stderr(err):
+            assert main(["polar"]) == 2
+        assert "zero normal vector" in err.getvalue() and "Traceback" not in err.getvalue()
+
     def test_parse_vector_shape(self):
         assert parse_vector(["1/2", "-3"], 2) == v(F(1, 2), -3)
         with pytest.raises(DegenerateInput):
