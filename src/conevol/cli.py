@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from fractions import Fraction
 from typing import Any
 
 from . import __version__
@@ -216,9 +215,11 @@ def cmd_gen(args: argparse.Namespace) -> tuple[str, int]:
 def cmd_audit(args: argparse.Namespace) -> tuple[str, int]:
     p, echo = _load_polytope(args)
     p = _require_centered_input(p, args, echo)
+    # the bound that runs: full_audit clamps to proper flats
+    max_flat_dim = p.dim - 1 if args.max_flat_dim is None else min(args.max_flat_dim, p.dim - 1)
     reports = [
         r
-        for r in full_audit(p, args.max_flat_dim, facet_cap=args.facet_cap)
+        for r in full_audit(p, max_flat_dim, facet_cap=args.facet_cap)
         if r.kind in args.kinds
     ]
     cases = equality_case_classification(p)
@@ -231,7 +232,7 @@ def cmd_audit(args: argparse.Namespace) -> tuple[str, int]:
         "seed": (echo.get("generator") or {}).get("seed"),
         "polytope": _polytope_summary(p),
         "cone_volume_measure": measure_to_json(cone_volume_measure(p)),
-        "max_flat_dim": args.max_flat_dim if args.max_flat_dim is not None else p.dim - 1,
+        "max_flat_dim": max_flat_dim,
         "reports": [report_to_json(r) for r in reports],
         "equality_cases": [equality_case_to_json(c) for c in cases],
         "violations": sum(1 for r in reports if r.slack < 0),

@@ -26,12 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import (
-    NotCentered,
-    OriginNotInterior,
-    TheoremViolation,
-    TooManyFacets,
-)
+from .errors import NotCentered, TheoremViolation, TooManyFacets
 from .kernel import (
     ONE,
     AffineFlat,
@@ -48,9 +43,10 @@ from .polytope import (
     Polytope,
     VPolytope,
     contains_point,
+    face_dim,
     polar,
     pyramid_apexes,
-    volume,
+    translate_to_centroid,
 )
 from .cone_measure import ConeVolumeMeasure, cone_volume_measure
 
@@ -328,44 +324,41 @@ def detect_join_structure(
     vertex 0 first, or None when no such split exists.  With multiple splits
     the one whose first class has the lexicographically smallest vertex tuple
     wins, making the choice deterministic.
+
+    The splits are read from the face lattice.  Lemma: a split (F, G) of the
+    vertices is a join split iff F is a proper face with dim F + dim G =
+    n - 1.  If aff F and aff G are complementary, the affine function that
+    is 0 on F and 1 on G is nonnegative on P and cuts out exactly F, so both
+    classes are faces, and the faces that contain vertex 0 give every split
+    once.  Conversely, the homogenized vertices (v, 1) span R^(n+1), so the
+    homogenized spans of F and G, of dimensions dim F + 1 and dim G + 1,
+    always sum to R^(n+1); the sum is direct, and the hulls complementary,
+    iff the dimensions add up to n + 1.
     """
-    verts = p.vertices
-    count = len(verts)
-    splits = []
-    seen: set[frozenset[frozenset[int]]] = set()
-    for flat, members in _spanned_flats(verts, p.dim - 1, affine=True):
-        if len(members) == count:
-            raise TheoremViolation("all vertices in a proper flat")
-        rest = frozenset(range(count)) - members
-        key = frozenset({members, rest})
-        if key in seen:
-            continue
-        seen.add(key)
-        other = affine_hull([verts[i] for i in rest])
-        if not flats_complementary(flat, other):
-            continue
-        first, second = (members, rest) if 0 in members else (rest, members)
-        splits.append((tuple(sorted(first)), tuple(sorted(second))))
+    everything = frozenset(range(len(p.vertices)))
+    splits = [
+        (tuple(sorted(face)), tuple(sorted(everything - face)))
+        for face in p._faces
+        if 0 in face and face_dim(p, face) + face_dim(p, everything - face) == p.dim - 1
+    ]
     if not splits:
         return None
-    first, second = min(splits)
-    return (
-        VPolytope(dim=p.dim, vertices=tuple(verts[i] for i in first)),
-        VPolytope(dim=p.dim, vertices=tuple(verts[i] for i in second)),
+    return tuple(
+        VPolytope(dim=p.dim, vertices=tuple(p.vertices[i] for i in side))
+        for side in min(splits)
     )
 
 
 def join_detection_roundtrip(p: Polytope) -> tuple[bool, bool]:
-    """(join found in P, join found in polar(P)).
+    """(join found in P, join found in the polar of P about its centroid).
 
-    A polytope with the origin interior splits as a join exactly when its
-    polar does, so the two booleans agree for every valid input; callers
+    Join structure survives translation, and a polytope with the origin
+    interior splits as a join exactly when its polar does, so the two
+    booleans agree for every valid input, wherever its origin lies; callers
     treat disagreement as a library bug.
     """
-    if not p.unit_rhs:
-        raise OriginNotInterior("polar side of the roundtrip needs 0 interior")
     primal = detect_join_structure(p)
-    dual = detect_join_structure(polar(p))
+    dual = detect_join_structure(polar(translate_to_centroid(p)))
     return primal is not None, dual is not None
 
 
@@ -387,21 +380,14 @@ def is_simple(p: Polytope) -> bool:
 def _proper_faces_of_simple(p: Polytope) -> list[frozenset[int]]:
     """Facet index sets of the proper faces (dim 1..n-1) of a simple polytope.
 
-    The faces are read from the face lattice, walking the facets of faces
-    down from the whole vertex set: a proper face has dimension at least 1
-    iff it has more than one vertex.  A face's facet set is every facet that
-    contains it.
+    The faces are read from the face lattice walk: a proper face has
+    dimension at least 1 iff it has more than one vertex.  A face's facet
+    set is every facet that contains it.
     """
-    faces: set[frozenset[int]] = set()
-    stack = [frozenset(range(len(p.vertices)))]
-    while stack:
-        for g in p._facets_of(stack.pop()):
-            if len(g) > 1 and g not in faces:
-                faces.add(g)
-                stack.append(g)
     facet_sets = [
         frozenset(i for i, tight in enumerate(p.incidence) if face <= tight)
-        for face in faces
+        for face in p._faces
+        if len(face) > 1
     ]
     return sorted(facet_sets, key=lambda s: (len(s), tuple(sorted(s))))
 

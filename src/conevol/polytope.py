@@ -26,12 +26,12 @@ Fraction once, at the end.
 Every face below a facet is read from the incidence table alone: the facets
 of a face are the inclusion-maximal nonempty intersections of its vertex
 set with the facets of the polytope that do not contain it.  This face
-lattice is memoised on the polytope and carries both the ``full``
-completeness certificate and the pulling triangulation: a face is coned
-from its smallest vertex index over the triangulations of its facets that
-miss that vertex.  Volume and centroid cone the facet simplices at an
-interior point (the vertex average); cone volumes at the origin reuse the
-same facet simplices.
+lattice is memoised on the polytope and carries the ``full`` completeness
+certificate, the walk over every proper face that join detection reads,
+and the pulling triangulation: a face is coned from its smallest vertex
+index over the triangulations of its facets that miss that vertex.  Volume
+and centroid cone the facet simplices at an interior point (the vertex
+average); cone volumes at the origin reuse the same facet simplices.
 """
 from __future__ import annotations
 
@@ -55,7 +55,6 @@ from .errors import (
 from .kernel import (
     ONE,
     ZERO,
-    AffineFlat,
     Vector,
     _echelon,
     _scaled,
@@ -183,6 +182,20 @@ class Polytope:
             cuts.discard(frozenset())
             memo[face] = tuple(c for c in cuts if not any(c < d for d in cuts))
         return memo[face]
+
+    @cached_property
+    def _faces(self) -> frozenset[frozenset[int]]:
+        """Every nonempty proper face as a vertex index set, vertices
+        included, walked down the face lattice from the whole vertex set."""
+        faces: set[frozenset[int]] = set()
+        stack = [frozenset(range(len(self.vertices)))]
+        while stack:
+            for g in self._facets_of(stack.pop()):
+                if g not in faces:
+                    faces.add(g)
+                    if len(g) > 1:
+                        stack.append(g)
+        return frozenset(faces)
 
     def _triangulate(self, face: frozenset[int]) -> tuple[tuple[int, ...], ...]:
         """Pulling triangulation of a face: its smallest vertex index coned
@@ -716,34 +729,21 @@ def _independent_coordinate_subset(points: Sequence[Vector]) -> tuple[int, ...]:
     return tuple(_echelon(_scaled(diffs))[2])
 
 
-def _check_vertex_irredundant(v: VPolytope) -> None:
-    """Raise unless every listed point is extreme within its own affine hull."""
-    pts = list(dict.fromkeys(v.vertices))
-    if len(pts) != len(v.vertices):
-        raise DegenerateInput("duplicate vertices")
-    if len(pts) == 1:
-        return
-    coords = _independent_coordinate_subset(pts)
-    if not coords:
-        raise DegenerateInput("duplicate vertices")
-    projected = [Vector(tuple(p.coords[c] for c in coords)) for p in pts]
-    hull = convex_hull(projected)
-    if len(hull.vertices) != len(pts):
-        raise DegenerateInput("vertex list contains non-extreme points")
-
-
 def join(q1: VPolytope, q2: VPolytope, *, dim_cap: int = DEFAULT_DIM_CAP) -> Polytope:
     """Join of two polytopes with complementary affine hulls.
 
-    The joint hull is full-dimensional and every input vertex stays extreme;
-    the converse direction (recognizing joins) lives in the concentration
-    module."""
+    The joint hull is full-dimensional, and its vertices are the union of
+    the factors' vertices: a point of one factor is extreme in the join iff
+    it is extreme in its factor.  So the one hull built here also checks
+    the input, and a vertex count short of the listed points means some
+    listed point is not extreme.  The converse direction (recognizing
+    joins) lives in the concentration module."""
     if q1.dim != q2.dim:
         raise ValueError("ambient dimension mismatch")
     if not q1.vertices or not q2.vertices:
         raise DegenerateInput("empty factor")
-    _check_vertex_irredundant(q1)
-    _check_vertex_irredundant(q2)
+    if any(len(set(q.vertices)) != len(q.vertices) for q in (q1, q2)):
+        raise DegenerateInput("duplicate vertices")
     a1 = affine_hull(list(q1.vertices))
     a2 = affine_hull(list(q2.vertices))
     if not flats_complementary(a1, a2):
@@ -752,5 +752,5 @@ def join(q1: VPolytope, q2: VPolytope, *, dim_cap: int = DEFAULT_DIM_CAP) -> Pol
         )
     result = convex_hull(list(q1.vertices) + list(q2.vertices), dim_cap=dim_cap)
     if len(result.vertices) != len(q1.vertices) + len(q2.vertices):
-        raise TheoremViolation("a join factor vertex stopped being extreme")
+        raise DegenerateInput("vertex list contains non-extreme points")
     return result

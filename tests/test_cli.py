@@ -171,6 +171,17 @@ class TestAudit:
         assert doc["polytope"]["facet_count"] == 27
         assert doc["violations"] == 0
 
+    def test_max_flat_dim_written_as_run(self, capsys, monkeypatch):
+        # full_audit clamps the bound to dim - 1; the document says so
+        _, gen_out, _ = run_cli(["gen", "--kind", "cube", "--dim", "2"], capsys=capsys)
+        code, out, _ = run_cli(
+            ["audit", "--max-flat-dim", "7"], stdin=gen_out, capsys=capsys, monkeypatch=monkeypatch
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["max_flat_dim"] == 1
+        assert max(r["flat_dim"] for r in doc["reports"]) == 1
+
     def test_bad_json_exit_2(self, capsys, monkeypatch):
         code, _, err = run_cli(["audit"], stdin="{nope", capsys=capsys, monkeypatch=monkeypatch)
         assert code == 2
@@ -277,6 +288,16 @@ class TestWrappers:
         assert code == 0
         doc = json.loads(out)
         assert doc["join"] is False and doc["split"] is None and doc["agree"] is True
+
+    def test_join_off_center_triangle(self, capsys, monkeypatch):
+        # the origin is a vertex: the polar side is taken about the centroid
+        code, out, _ = run_cli(
+            ["join"], stdin=json.dumps(OFFCENTER_DOC), capsys=capsys, monkeypatch=monkeypatch
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["join"] is True and doc["split"] == [[0], [1, 2]]
+        assert doc["polar_roundtrip"] is True and doc["agree"] is True
 
 
 class TestTopLevel:

@@ -257,6 +257,13 @@ class TestJoinDetection:
         )
         assert join_detection_roundtrip(p) == (True, True)
 
+    def test_roundtrip_with_origin_off_center(self):
+        # join structure survives translation: a vertex at the origin and a
+        # square with the origin outside still get an answer from both sides
+        assert join_detection_roundtrip(convex_hull([v(0, 0), v(1, 0), v(0, 1)])) == (True, True)
+        square = convex_hull([v(1, 1), v(1, 2), v(2, 1), v(2, 2)])
+        assert join_detection_roundtrip(square) == (False, False)
+
 
 class TestEqualityClassification:
     def test_triangle_all_kinds(self):

@@ -1,10 +1,14 @@
 """The integer flat enumeration against the Fraction subset scan it replaced.
 
-The oracle is the library's former enumeration, kept here as it was: one
-Fraction reduced row echelon form for every index subset of size at most
-max_dim + 1 (affine) or max_dim (linear), m Fraction membership tests per
-subset, and a dedupe keyed on the member set.  Flats, member sets and their
-order must agree exactly.
+The oracle is the library's former enumeration: one Fraction reduced row
+echelon form for every index subset of size at most max_dim + 1 (affine) or
+max_dim (linear), m membership tests per distinct flat, and a dedupe keyed
+on the member set.  Flats, member sets and their order must agree exactly.
+
+``oracle_join_structure`` is the former join detection on that
+enumeration: every vertex-spanned proper flat whose members and the rest
+have complementary affine hulls.  The library reads the same splits from
+the face lattice.
 """
 from __future__ import annotations
 
@@ -29,7 +33,7 @@ from conevol.kernel import (
     linear_span,
     vector,
 )
-from conevol.polytope import VPolytope, convex_hull, translate_to_centroid
+from conevol.polytope import VPolytope, convex_hull, polar, translate_to_centroid
 
 
 def hulls_of_subsets(points, max_dim, *, affine):
@@ -38,6 +42,7 @@ def hulls_of_subsets(points, max_dim, *, affine):
     n = points[0].dim
     max_size = max_dim + 1 if affine else max_dim
     by_members = {}
+    seen = set()
     for size in range(1, max_size + 1):
         for subset in combinations(range(len(points)), size):
             chosen = [points[i] for i in subset]
@@ -45,8 +50,10 @@ def hulls_of_subsets(points, max_dim, *, affine):
                 hull = affine_hull(chosen)
             else:
                 hull = linear_span(chosen, n)
-            if hull.dim > max_dim:
+            if hull.dim > max_dim or hull in seen:
                 continue
+            # the member set is a function of the canonical flat
+            seen.add(hull)
             members = frozenset(
                 i for i in range(len(points)) if hull.contains(points[i])
             )
@@ -126,15 +133,29 @@ def test_spanned_flats_match_subset_scan(pts, affine):
         )
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [GeneratorSpec("join", n, None, seed) for n in (2, 3, 4) for seed in range(3)]
-    + [GeneratorSpec("pyramid_over", n, None, seed) for n in (2, 3, 4) for seed in range(3)]
-    + [GeneratorSpec(kind, 3, None, 0) for kind in ("cube", "cross", "simplex")],
-    ids=lambda s: f"{s.kind}-{s.dim}-{s.seed}",
+def _generated(kind, n, seed=0):
+    return f"{kind}-{n}-{seed}", lambda: generate(GeneratorSpec(kind, n, None, seed))
+
+
+JOIN_CASES = (
+    [_generated(kind, n, seed) for kind in ("join", "pyramid_over", "random")
+     for n in (2, 3, 4) for seed in range(3)]
+    + [_generated(kind, 3) for kind in ("cube", "cross", "simplex")]
+    + [_generated(kind, 4) for kind in ("cube", "cross", "simplex")]
+    + [_generated("simplex", 5)]
+    + [(f"prism-{n}", lambda n=n: _prism(n)) for n in (3, 4)]
 )
-def test_join_detection_matches_oracle(spec):
-    p = generate(spec)
+
+
+@pytest.mark.parametrize(
+    "make, dual",
+    [(make, dual) for _, make in JOIN_CASES for dual in (False, True)],
+    ids=[name + ("-polar" if dual else "") for name, _ in JOIN_CASES for dual in (False, True)],
+)
+def test_join_detection_matches_oracle(make, dual):
+    p = polar(make()) if dual else make()
+    if dual and len(p.vertices) > 16:
+        pytest.skip("the Fraction oracle scans every vertex subset of size <= n")
     assert detect_join_structure(p) == oracle_join_structure(p)
 
 

@@ -56,6 +56,14 @@ CASES: dict[str, tuple[str, list[str]]] = {
     "lift_cube_1": ("gen:cube_1", ["lift", "--levels", "3"]),
     "polar_cube_3": ("gen:cube_3", ["polar"]),
     "audit_facet_form_cube_3": (FACET_FORM_DOC, ["audit"]),
+    **{
+        f"join_{name}": (f"gen:{name}", ["join"])
+        for name in ("simplex_3", "join_3_seed_2", "pyramid_over_3_seed_4", "cube_3", "cross_3")
+    },
+    **{
+        f"ispyramid_{name}": (f"gen:{name}", ["ispyramid"])
+        for name in ("pyramid_over_3_seed_4", "cube_3")
+    },
 }
 
 

@@ -388,6 +388,23 @@ class TestJoin:
         with pytest.raises(DegenerateInput):
             join(q1, q2)
 
+    def test_duplicate_factor_vertex_rejected(self):
+        q1 = VPolytope(3, (v(-1, 0, 0), v(1, 0, 0), v(-1, 0, 0)))
+        q2 = VPolytope(3, (v(0, -1, 1), v(0, 1, 1)))
+        with pytest.raises(DegenerateInput, match="^duplicate vertices$"):
+            join(q1, q2)
+
+    def test_square_centre_factor_rejected(self):
+        # the centre of the square is in the factor's own hull, so the one
+        # joint hull has 6 vertices for 7 listed points
+        square = VPolytope(
+            4,
+            (v(-1, -1, 0, 0), v(-1, 1, 0, 0), v(1, -1, 0, 0), v(1, 1, 0, 0), v(0, 0, 0, 0)),
+        )
+        segment = VPolytope(4, (v(0, 0, -1, 1), v(0, 0, 1, 1)))
+        with pytest.raises(DegenerateInput, match="^vertex list contains non-extreme points$"):
+            join(square, segment)
+
 
 class TestSeededAgreement:
     def test_decompositions_agree_on_random_hulls(self):
