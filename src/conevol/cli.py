@@ -24,7 +24,6 @@ from .concentration import (
     detect_join_structure,
     equality_case_classification,
     full_audit,
-    join_detection_roundtrip,
 )
 from .cone_measure import cone_volume_measure
 from .errors import GeometryError, NotCentered, TheoremViolation
@@ -343,8 +342,10 @@ def cmd_ispyramid(args: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_join(args: argparse.Namespace) -> tuple[str, int]:
     p, echo = _load_polytope(args)
+    # the round trip of join_detection_roundtrip, reusing the primal split
     split = detect_join_structure(p)
-    direct, via_polar = join_detection_roundtrip(p)
+    direct = split is not None
+    via_polar = detect_join_structure(polar(translate_to_centroid(p))) is not None
     sides = None
     if split is not None:
         index = {v: i for i, v in enumerate(p.vertices)}

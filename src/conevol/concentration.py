@@ -33,10 +33,10 @@ from .kernel import (
     LinearSubspace,
     Vector,
     _eliminate,
-    affine_hull,
+    _in_span,
+    canonical_rows,
     flats_complementary,
     integer_row,
-    linear_span,
     subspaces_complementary,
 )
 from .polytope import (
@@ -98,10 +98,23 @@ def _check_facet_cap(p: Polytope, facet_cap: int) -> None:
         )
 
 
-def _flat_members(p: Polytope, flat: AffineFlat | LinearSubspace) -> frozenset[int]:
-    return frozenset(
-        i for i in range(p.facet_count) if flat.contains(p.normals[i])
-    )
+def _integer_rows(vectors: Iterable[Vector], affine: bool) -> list[list[int]]:
+    """Each vector as an integer row, homogenized with a trailing 1 for
+    affine flats: a positive multiple, so spans and membership are kept."""
+    return [integer_row(v.coords + (ONE,) if affine else v.coords) for v in vectors]
+
+
+def _flat(rows: Sequence[Sequence[int]], n: int, affine: bool) -> AffineFlat | LinearSubspace:
+    """The canonical flat in R^n spanned by integer rows of
+    :func:`_integer_rows`."""
+    canonical = canonical_rows(rows)
+    return AffineFlat(n, canonical) if affine else LinearSubspace(n, canonical)
+
+
+def _flat_members(
+    flat: AffineFlat | LinearSubspace, rows: Sequence[Sequence[int]]
+) -> frozenset[int]:
+    return frozenset(i for i, row in enumerate(rows) if _in_span(flat.rows, row))
 
 
 def _report(
@@ -109,9 +122,11 @@ def _report(
     flat: AffineFlat | LinearSubspace,
     members: frozenset[int],
     measure: ConeVolumeMeasure,
+    rows: Sequence[Sequence[int]],
 ) -> ConcentrationReport:
     """The report for a flat whose normal members are known.
 
+    ``rows`` are the normals as :func:`_integer_rows` of the flat's kind.
     Linear bound (dim L / n) vol(P); affine bound ((dim A + 1) / (n + 1))
     vol(P).  On equality the complement is spanned (linear) or affinely
     generated (affine) by the remaining normals; for a linear subspace that
@@ -125,13 +140,13 @@ def _report(
         rhs = Fraction(flat.dim, p.dim) * measure.total
     witness = None
     if lhs == rhs:
-        rest = [p.normals[i] for i in range(p.facet_count) if i not in members]
+        rest = [row for i, row in enumerate(rows) if i not in members]
         complement: AffineFlat | LinearSubspace | None
         if affine:
-            complement = affine_hull(rest) if rest else None
+            complement = _flat(rest, p.dim, affine) if rest else None
             split = complement is not None and flats_complementary(flat, complement)
         else:
-            complement = linear_span(rest, p.dim)
+            complement = _flat(rest, p.dim, affine)
             split = subspaces_complementary(flat, complement)
         if split:
             witness = ComplementWitness(
@@ -163,13 +178,14 @@ def linear_scc(
     """
     require_centered(p)
     if not isinstance(subspace, LinearSubspace):
-        subspace = linear_span(list(subspace), p.dim)
+        subspace = _flat(_integer_rows(subspace, False), p.dim, False)
     if subspace.ambient_dim != p.dim:
         raise ValueError(
             f"subspace ambient dim {subspace.ambient_dim} != polytope dim {p.dim}"
         )
+    rows = _integer_rows(p.normals, False)
     return _report(
-        p, subspace, _flat_members(p, subspace), cone_volume_measure(p)
+        p, subspace, _flat_members(subspace, rows), cone_volume_measure(p), rows
     )
 
 
@@ -182,14 +198,16 @@ def affine_scc(p: Polytope, flat: AffineFlat) -> ConcentrationReport:
         )
     if flat.dim >= p.dim:
         raise ValueError("flat must be proper (dim < ambient dim)")
-    return _report(p, flat, _flat_members(p, flat), cone_volume_measure(p))
+    rows = _integer_rows(p.normals, True)
+    return _report(p, flat, _flat_members(flat, rows), cone_volume_measure(p), rows)
 
 
 def _spanned_flats(
-    points: Sequence[Vector], max_dim: int, *, affine: bool
+    rows: Sequence[Sequence[int]], n: int, max_dim: int, *, affine: bool
 ) -> list[tuple[AffineFlat | LinearSubspace, frozenset[int]]]:
-    """Every distinct flat of dim <= max_dim spanned by a subset of points,
-    with its member index set, sorted by (dim, member tuple).
+    """Every distinct flat of dim <= max_dim in R^n spanned by a subset of
+    points, given as :func:`_integer_rows`, with its member index set,
+    sorted by (dim, member tuple).
 
     A depth-first walk over index-increasing subsets on the integer rows.
     ``table`` holds the fraction-free (Bareiss) elimination of the point
@@ -206,9 +224,9 @@ def _spanned_flats(
       it is outside the span of those kept), and neither is any superset;
       the flat is reached from its greedy basis instead.
 
-    The canonical flat is built once per flat, from its basis.
+    The canonical flat is built once per flat, from the rows of its basis.
     """
-    count = len(points)
+    count = len(rows)
     max_size = max_dim + 1 if affine else max_dim
     everyone = frozenset(range(count))
     found: list[tuple[frozenset[int], tuple[int, ...]]] = []
@@ -236,9 +254,6 @@ def _spanned_flats(
             if len(basis) + 1 < max_size:
                 walk(basis + (j,), grown, child, table[r][j])
 
-    # each point as an integer row, homogenized with a trailing 1 for affine
-    # flats: a positive multiple, so spans and membership are unchanged
-    rows = [integer_row(p.coords + (ONE,) if affine else p.coords) for p in points]
     if max_size > 0:
         table = [list(col) for col in zip(*rows)]
         zeros = zero_columns(table)
@@ -248,16 +263,7 @@ def _spanned_flats(
         walk((), zeros, table, 1)
     # a basis of a dim-d flat has d + 1 (affine) or d (linear) indices
     found.sort(key=lambda pair: (len(pair[1]), tuple(sorted(pair[0]))))
-    n = points[0].dim if points else 0
-    return [
-        (
-            affine_hull([points[i] for i in basis])
-            if affine
-            else linear_span([points[i] for i in basis], n),
-            members,
-        )
-        for members, basis in found
-    ]
+    return [(_flat([rows[i] for i in basis], n, affine), members) for members, basis in found]
 
 
 def enumerate_normal_flats(
@@ -279,7 +285,8 @@ def enumerate_normal_flats(
         max_dim = p.dim - 1
     if max_dim < 0:
         return []
-    return [flat for flat, _ in _spanned_flats(p.normals, max_dim, affine=True)]
+    rows = _integer_rows(p.normals, True)
+    return [flat for flat, _ in _spanned_flats(rows, p.dim, max_dim, affine=True)]
 
 
 def full_audit(
@@ -297,13 +304,14 @@ def full_audit(
     if max_flat_dim < 0:
         return []
     measure = cone_volume_measure(p)
-    return [
-        _report(p, flat, members, measure)
-        for affine in (True, False)
-        for flat, members in _spanned_flats(
-            p.normals, max_flat_dim, affine=affine
-        )
-    ]
+    reports = []
+    for affine in (True, False):
+        rows = _integer_rows(p.normals, affine)
+        reports += [
+            _report(p, flat, members, measure, rows)
+            for flat, members in _spanned_flats(rows, p.dim, max_flat_dim, affine=affine)
+        ]
+    return reports
 
 
 def grunbaum_point_check(p: Polytope) -> bool:
@@ -422,11 +430,10 @@ def equality_case_classification(p: Polytope) -> list[EqualityCase]:
     base_facets = {base for _, base in apexes}
     apex_vertices = {v for v, _ in apexes}
     measure = cone_volume_measure(p)
+    rows = _integer_rows(p.normals, True)
 
     for i in range(p.facet_count):
-        report = _report(
-            p, affine_hull([p.normals[i]]), frozenset((i,)), measure
-        )
+        report = _report(p, _flat([rows[i]], p.dim, True), frozenset((i,)), measure, rows)
         if report.equality != (i in base_facets):
             raise TheoremViolation(
                 "facet equality does not match pyramid structure"
@@ -437,14 +444,14 @@ def equality_case_classification(p: Polytope) -> list[EqualityCase]:
             )
 
     for v_index, tight in enumerate(p.vertex_facets):
-        flat = affine_hull([p.normals[i] for i in sorted(tight)])
+        flat = _flat([rows[i] for i in tight], p.dim, True)
         if flat.dim != p.dim - 1:
             if v_index in apex_vertices:
                 raise TheoremViolation(
                     "apex tight normals must span a hyperplane flat"
                 )
             continue
-        report = _report(p, flat, tight, measure)
+        report = _report(p, flat, tight, measure, rows)
         if report.equality != (v_index in apex_vertices):
             raise TheoremViolation(
                 "vertex equality does not match apex structure"
@@ -459,8 +466,8 @@ def equality_case_classification(p: Polytope) -> list[EqualityCase]:
     if is_simple(p):
         simplex = len(p.vertices) == p.dim + 1
         for facet_set in _proper_faces_of_simple(p):
-            flat = affine_hull([p.normals[i] for i in sorted(facet_set)])
-            report = _report(p, flat, facet_set, measure)
+            flat = _flat([rows[i] for i in facet_set], p.dim, True)
+            report = _report(p, flat, facet_set, measure, rows)
             if report.equality != simplex:
                 raise TheoremViolation(
                     "face-flat equality does not match simplex structure"

@@ -16,21 +16,20 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Sequence
 
 from .concentration import detect_join_structure
 from .errors import CapExceeded, DegenerateInput, TheoremViolation
-from .kernel import Vector, affine_hull, rank_of_rows, solve_unique, unit_vector, vector
+from .kernel import Vector, affine_hull, unit_vector, vector
 from .polytope import (
     DEFAULT_DIM_CAP,
     Polytope,
     VPolytope,
-    _independent_coordinate_subset,
     centroid,
     convex_hull,
     from_reps,
     join,
     translate_to_centroid,
+    vertex_fan_volume_centroid,
 )
 
 RANDOM_COORDINATE_BOX = 10
@@ -97,57 +96,17 @@ def centered_simplex(n: int, *, dim_cap: int = DEFAULT_DIM_CAP) -> Polytope:
     return convex_hull(verts, dim_cap=dim_cap)
 
 
-def _base_centroid(base: VPolytope) -> Vector:
-    """Centroid of a point set spanning a hyperplane, computed inside that
-    hyperplane via an injective coordinate projection."""
-    pts = list(dict.fromkeys(base.vertices))
-    flat = affine_hull(pts)
-    if flat.dim == 0:
-        return pts[0]
-    coords = _independent_coordinate_subset(pts)
-    projected = convex_hull(
-        [Vector(tuple(p.coords[c] for c in coords)) for p in pts],
-        dim_cap=len(coords),
-    )
-    c_proj = centroid(projected)
-    # barycentric coordinates of c_proj in a projected affine frame carry
-    # the centroid back to the unprojected hyperplane
-    frame = _affine_frame(pts, flat.dim)
-    k = len(frame)
-    proj_frame = [tuple(w.coords[c] for c in coords) for w in frame]
-    eq_rows = [Vector(tuple(pf[j] for pf in proj_frame)) for j in range(k - 1)]
-    eq_rows.append(Vector((Fraction(1),) * k))
-    lam = solve_unique(eq_rows, list(c_proj.coords) + [Fraction(1)])
-    if lam is None:
-        raise TheoremViolation("projected frame lost affine independence")
-    out = [Fraction(0)] * base.dim
-    for weight, w in zip(lam.coords, frame):
-        for i, x in enumerate(w.coords):
-            out[i] += weight * x
-    return Vector(tuple(out))
-
-
-def _affine_frame(pts: Sequence[Vector], dim: int) -> list[Vector]:
-    """dim + 1 affinely independent points chosen greedily from ``pts``."""
-    frame = [pts[0]]
-    for p in pts[1:]:
-        rows = [(q - frame[0]).coords for q in frame[1:]] + [(p - frame[0]).coords]
-        if rank_of_rows(rows) == len(frame):
-            frame.append(p)
-        if len(frame) == dim + 1:
-            break
-    return frame
-
-
 def pyramid_over(
     base: VPolytope, apex: Vector, *, dim_cap: int = DEFAULT_DIM_CAP
 ) -> Polytope:
     """Centered pyramid conv(base ∪ {apex}).
 
     The base must span a hyperplane of the ambient space and the apex must
-    lie off that hyperplane.  The hull centroid is cross-checked against
-    the pyramid centroid formula c = (n c(F) + apex) / (n + 1) before
-    recentering; a mismatch means a bug in one of the two paths.
+    lie off that hyperplane.  Before recentering, the hull centroid is
+    cross-checked against the centroid of the fan of cones from the apex
+    over the facets that miss it, a second, independent decomposition (for
+    a pyramid, the one cone over the base); a mismatch means a bug in one
+    of the two paths.
     """
     n = base.dim
     _require_dim(n, dim_cap)
@@ -163,16 +122,9 @@ def pyramid_over(
     if hull_flat.contains(apex):
         raise DegenerateInput("apex lies in the base hull plane")
     p = convex_hull(list(base.vertices) + [apex], dim_cap=dim_cap)
-    c_base = _base_centroid(base)
-    predicted = Vector(
-        tuple(
-            Fraction(n, n + 1) * cb + Fraction(1, n + 1) * ca
-            for cb, ca in zip(c_base.coords, apex.coords)
-        )
-    )
-    if centroid(p) != predicted:
+    if centroid(p) != vertex_fan_volume_centroid(p, p.vertices.index(apex))[1]:
         raise TheoremViolation(
-            "hull centroid disagrees with the pyramid centroid formula"
+            "hull centroid disagrees with the apex fan centroid"
         )
     return translate_to_centroid(p)
 

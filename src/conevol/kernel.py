@@ -1,8 +1,9 @@
 """Exact rational linear algebra: vectors, matrices, flats.
 
-Every quantity in this package is a ``fractions.Fraction``; nothing here ever
-rounds, and every comparison is exact.  The module provides the small amount
-of linear algebra the geometric layers need:
+Every coordinate in this package is a ``fractions.Fraction`` or an exact
+integer; nothing here ever rounds, and every comparison is exact.  The
+module provides the small amount of linear algebra the geometric layers
+need:
 
 * ``Vector`` / ``Matrix`` value types (immutable, hashable, lexicographically
   ordered),
@@ -10,24 +11,25 @@ of linear algebra the geometric layers need:
   integer rows, one Bareiss step (:func:`_eliminate`) per pivot, each
   dividing exactly by the pivot before it.  Rational rows are scaled once
   to integer rows first; rows that are integers already go in as they are.
-  Reduced row echelon form, rank, null space, unique solutions,
-  determinants and membership tests all read from it; Fractions are made
-  only by the final division by the last pivot,
-* affine flats in homogeneous coordinates with canonical bases, membership
-  tests and the complementarity test used for joins,
-* linear subspaces with the same canonical-basis treatment.
+  Reduced row echelon form, rank, null space, determinants, canonical forms
+  and membership tests all read from it; Fractions are made only by the
+  final division by the last pivot,
+* affine flats in homogeneous coordinates and linear subspaces, each stored
+  in one canonical form, with membership tests and the complementarity
+  tests used for joins.
 
-An affine flat ``A = {a : (a, 1) in span(B)}`` is stored as the reduced row
-echelon form of the homogenized generators ``(a_i, 1)``.  Two flats are equal
-iff their canonical bases are equal, which makes flats usable as dict keys
-and makes deduplication trivial.
+A flat is stored as ``rows``: the reduced row echelon rows of its span
+(homogenized generators ``(a_i, 1)`` for an affine flat ``A = {a : (a, 1)
+in span}``), each row written as its primitive integer multiple with a
+positive pivot entry.  Two flats are equal iff their rows are equal, which
+makes flats usable as dict keys and makes deduplication trivial.  The
+rational reduced row echelon basis is a derived view, ``basis``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence, Union
 
 from .errors import DegenerateInput
@@ -227,16 +229,6 @@ def determinant(m: Matrix) -> Fraction:
     return Fraction(-d if swaps % 2 else d, denom)
 
 
-def solve_unique(rows: Sequence[Vector], rhs: Sequence[Fraction]) -> Vector | None:
-    """Solve a square system exactly; None when the matrix is singular."""
-    n = len(rows)
-    work = [row.coords + (as_fraction(b),) for row, b in zip(rows, rhs, strict=True)]
-    reduced, rank, pivots = _rref_core(work)
-    if rank < n or pivots[:n] != list(range(n)):
-        return None
-    return Vector(tuple(reduced[i][n] for i in range(n)))
-
-
 def kernel_basis(rows: Sequence[Vector], ncols: int) -> list[Vector]:
     """Basis of the right null space of the row system (exact)."""
     reduced, rank, pivots = _rref_core([row.coords for row in rows])
@@ -253,52 +245,81 @@ def kernel_basis(rows: Sequence[Vector], ncols: int) -> list[Vector]:
     return basis
 
 
+def canonical_rows(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The canonical form of the span of integer rows: its reduced row
+    echelon rows, each as its primitive integer multiple with a positive
+    pivot entry.
+
+    :func:`_echelon` leaves each row as d times its reduced row, so the row
+    over its gcd, signed like d, is that multiple; no Fraction is made.
+    """
+    work, rank, _, d, _ = _echelon(rows)
+    sign = 1 if d > 0 else -1
+    canonical = []
+    for row in work[:rank]:
+        g = sign * gcd(*row)
+        canonical.append(tuple(x // g for x in row))
+    return tuple(canonical)
+
+
+def _in_span(rows: Sequence[Sequence[int]], row: Sequence[int]) -> bool:
+    """True iff the integer row lies in the span of the independent rows."""
+    return _echelon([*rows, row])[1] == len(rows)
+
+
+def _reduced_basis(rows: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
+    """Canonical rows as the reduced row echelon basis: each row over its
+    pivot, which is its first nonzero entry."""
+    basis = []
+    for row in rows:
+        lead = next(x for x in row if x)
+        basis.append(Vector(tuple(Fraction(x, lead) for x in row)))
+    return tuple(basis)
+
+
 @dataclass(frozen=True)
 class AffineFlat:
     """An affine flat in R^n, canonicalized via homogeneous coordinates.
 
-    ``basis`` is the reduced row echelon form of the homogenized generators
-    ``(a_i, 1)``; each basis vector lives in dimension ``ambient_dim + 1``.
-    A point ``a`` belongs to the flat iff ``(a, 1)`` lies in the row span.
-    ``dim`` is ``len(basis) - 1``: a singleton flat has one basis row.
+    ``rows`` is the canonical form (:func:`canonical_rows`) of the
+    homogenized generators ``(a_i, 1)``; each row has ``ambient_dim + 1``
+    entries.  A point ``a`` belongs to the flat iff ``(a, 1)`` lies in the
+    row span.  ``dim`` is ``len(rows) - 1``: a singleton flat has one row.
+    ``basis`` is the same span as rational reduced row echelon rows.
     """
 
     ambient_dim: int
-    basis: tuple[Vector, ...]
+    rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not self.basis:
-            raise DegenerateInput("affine flat needs at least one basis vector")
-        if any(row.dim != self.ambient_dim + 1 for row in self.basis):
+        if not self.rows:
+            raise DegenerateInput("affine flat needs at least one basis row")
+        if any(len(row) != self.ambient_dim + 1 for row in self.rows):
             raise ValueError("homogenized basis rows must have dimension ambient_dim + 1")
         # A genuine affine flat must contain an actual point: some vector of
         # the span has nonzero last homogeneous coordinate.
-        if all(row.coords[-1] == 0 for row in self.basis):
-            raise DegenerateInput("flat at infinity: no basis vector has nonzero last coordinate")
+        if all(row[-1] == 0 for row in self.rows):
+            raise DegenerateInput("flat at infinity: no basis row has nonzero last coordinate")
 
     @property
     def dim(self) -> int:
-        return len(self.basis) - 1
+        return len(self.rows) - 1
 
-    @cached_property
-    def _rows(self) -> list[list[int]]:
-        """The basis as integer rows, scaled once per flat."""
-        return _scaled([row.coords for row in self.basis])
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        return _reduced_basis(self.rows)
 
     def contains(self, point: Vector) -> bool:
         if point.dim != self.ambient_dim:
             raise ValueError(f"point dimension {point.dim} != ambient {self.ambient_dim}")
-        return _echelon(self._rows + [integer_row(point.coords + (ONE,))])[1] == len(self.basis)
+        return _in_span(self.rows, integer_row(point.coords + (ONE,)))
 
 
 def affine_hull(points: Sequence[Vector]) -> AffineFlat:
     """Affine hull of a nonempty rational point set, in canonical form."""
     if not points:
         raise DegenerateInput("affine hull of an empty point set")
-    n = points[0].dim
-    reduced, _, _ = _rref_core([p.coords + (ONE,) for p in points])
-    basis = tuple(Vector(tuple(row)) for row in reduced)
-    return AffineFlat(n, basis)
+    return AffineFlat(points[0].dim, canonical_rows(_scaled([p.coords + (ONE,) for p in points])))
 
 
 def flats_complementary(a: AffineFlat, b: AffineFlat) -> bool:
@@ -308,44 +329,43 @@ def flats_complementary(a: AffineFlat, b: AffineFlat) -> bool:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     n = a.ambient_dim
-    total = len(a.basis) + len(b.basis)
-    if total != n + 1:
+    if len(a.rows) + len(b.rows) != n + 1:
         return False
-    stacked = [row.coords for row in a.basis] + [row.coords for row in b.basis]
-    return rank_of_rows(stacked) == n + 1
+    return _echelon(a.rows + b.rows)[1] == n + 1
 
 
 @dataclass(frozen=True)
 class LinearSubspace:
-    """A linear subspace of R^n with a canonical (RREF) basis.
+    """A linear subspace of R^n in canonical form (:func:`canonical_rows`).
 
-    ``dim == len(basis)``; the zero subspace has an empty basis.
+    ``dim == len(rows)``; the zero subspace has no rows.  ``basis`` is the
+    same span as rational reduced row echelon rows.
     """
 
     ambient_dim: int
-    basis: tuple[Vector, ...]
+    rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if any(row.dim != self.ambient_dim for row in self.basis):
+        if any(len(row) != self.ambient_dim for row in self.rows):
             raise ValueError("basis rows must have the ambient dimension")
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
-    _rows = AffineFlat._rows
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        return _reduced_basis(self.rows)
 
     def contains(self, v: Vector) -> bool:
         if v.dim != self.ambient_dim:
             raise ValueError(f"vector dimension {v.dim} != ambient {self.ambient_dim}")
-        return _echelon(self._rows + [integer_row(v.coords)])[1] == len(self.basis)
+        return _in_span(self.rows, integer_row(v.coords))
 
 
 def linear_span(vectors: Sequence[Vector], ambient_dim: int) -> LinearSubspace:
     """Linear span of a (possibly empty) set of vectors, in canonical form."""
-    reduced, _, _ = _rref_core([v.coords for v in vectors])
-    basis = tuple(Vector(tuple(row)) for row in reduced)
-    return LinearSubspace(ambient_dim, basis)
+    return LinearSubspace(ambient_dim, canonical_rows(_scaled([v.coords for v in vectors])))
 
 
 def subspaces_complementary(a: LinearSubspace, b: LinearSubspace) -> bool:
@@ -355,6 +375,4 @@ def subspaces_complementary(a: LinearSubspace, b: LinearSubspace) -> bool:
     n = a.ambient_dim
     if a.dim + b.dim != n:
         return False
-    stacked = [row.coords for row in a.basis] + [row.coords for row in b.basis]
-    return rank_of_rows(stacked) == n
-
+    return _echelon(a.rows + b.rows)[1] == n

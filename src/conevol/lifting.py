@@ -28,7 +28,7 @@ from .cone_measure import cone_volume_measure
 from .concentration import require_centered
 
 DEFAULT_TOWER_CAP = 20
-DEFAULT_VERIFY_DIM_CAP = 5
+DEFAULT_VERIFY_DIM_CAP = 6
 
 
 def lift_step(k: int, x: Vector) -> Vector:

@@ -57,7 +57,6 @@ from .kernel import (
     ZERO,
     Vector,
     _echelon,
-    _scaled,
     affine_hull,
     flats_complementary,
     integer_row,
@@ -719,14 +718,6 @@ def is_pyramid(p: Polytope) -> tuple[Vector, int] | None:
         return None
     v_idx, base = apexes[0]
     return p.vertices[v_idx], base
-
-
-def _independent_coordinate_subset(points: Sequence[Vector]) -> tuple[int, ...]:
-    """Coordinates indexing the direction space of the points' affine hull:
-    projection onto them is injective on that hull."""
-    base = points[0]
-    diffs = [[x - y for x, y in zip(pnt.coords, base.coords)] for pnt in points[1:]]
-    return tuple(_echelon(_scaled(diffs))[2])
 
 
 def join(q1: VPolytope, q2: VPolytope, *, dim_cap: int = DEFAULT_DIM_CAP) -> Polytope:

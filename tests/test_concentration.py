@@ -29,7 +29,6 @@ from conevol.polytope import (
 from conevol.cone_measure import cone_volume_measure
 import conevol.concentration as concentration
 from conevol.concentration import (
-    _flat_members,
     _proper_faces_of_simple,
     affine_scc,
     detect_join_structure,
@@ -368,9 +367,9 @@ def test_classification_member_sets_match_membership(monkeypatch):
     real_report = concentration._report
     passed = []
 
-    def recording_report(p, flat, members, measure):
+    def recording_report(p, flat, members, measure, rows):
         passed.append((flat, members))
-        return real_report(p, flat, members, measure)
+        return real_report(p, flat, members, measure, rows)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("classification re-audits a flat")
@@ -385,7 +384,7 @@ def test_classification_member_sets_match_membership(monkeypatch):
             cases = equality_case_classification(p)
         assert len(passed) >= p.facet_count
         for flat, members in passed:
-            assert members == _flat_members(p, flat)
+            assert members == frozenset(i for i, a in enumerate(p.normals) if flat.contains(a))
         for case in cases:
             kinds.add(case.kind)
             assert case.report == affine_scc(p, case.report.flat)

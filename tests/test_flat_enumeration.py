@@ -1,9 +1,11 @@
 """The integer flat enumeration against the Fraction subset scan it replaced.
 
-The oracle is the library's former enumeration: one Fraction reduced row
-echelon form for every index subset of size at most max_dim + 1 (affine) or
-max_dim (linear), m membership tests per distinct flat, and a dedupe keyed
-on the member set.  Flats, member sets and their order must agree exactly.
+The oracle is the library's former enumeration, written on the Fraction
+reduced row echelon form of ``test_kernel``: one reduced form for every
+index subset of size at most max_dim + 1 (affine) or max_dim (linear), m
+membership tests per distinct flat, and a dedupe keyed on the member set.
+Each walk flat's ``basis``, its member set and their order must agree
+exactly with the oracle's.
 
 ``oracle_join_structure`` is the former join detection on that
 enumeration: every vertex-spanned proper flat whose members and the rest
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conevol.concentration import (
+    _integer_rows,
     _spanned_flats,
     affine_scc,
     detect_join_structure,
@@ -26,41 +29,37 @@ from conevol.concentration import (
     linear_scc,
 )
 from conevol.generators import GeneratorSpec, centered_simplex, cross_polytope, cube, generate
-from conevol.kernel import (
-    Vector,
-    affine_hull,
-    flats_complementary,
-    linear_span,
-    vector,
-)
+from conevol.kernel import Vector, vector
 from conevol.polytope import VPolytope, convex_hull, polar, translate_to_centroid
+from test_kernel import oracle_in_span, oracle_rref
+
+
+def _oracle_rows(points, affine):
+    return [list(q.coords) + [F(1)] if affine else list(q.coords) for q in points]
 
 
 def hulls_of_subsets(points, max_dim, *, affine):
-    """All distinct hulls of point subsets with dim <= max_dim, sorted by
-    (dim, member tuple)."""
-    n = points[0].dim
+    """All distinct hulls of point subsets with dim <= max_dim, as (Fraction
+    reduced row echelon basis, member set), sorted by (dim, member tuple)."""
+    rows = _oracle_rows(points, affine)
     max_size = max_dim + 1 if affine else max_dim
     by_members = {}
     seen = set()
     for size in range(1, max_size + 1):
         for subset in combinations(range(len(points)), size):
-            chosen = [points[i] for i in subset]
-            if affine:
-                hull = affine_hull(chosen)
-            else:
-                hull = linear_span(chosen, n)
-            if hull.dim > max_dim or hull in seen:
+            reduced, rank, _ = oracle_rref([rows[i] for i in subset])
+            basis = tuple(vector(row) for row in reduced[:rank])
+            if rank - affine > max_dim or basis in seen:
                 continue
-            # the member set is a function of the canonical flat
-            seen.add(hull)
+            # the member set is a function of the canonical basis
+            seen.add(basis)
             members = frozenset(
-                i for i in range(len(points)) if hull.contains(points[i])
+                i for i, row in enumerate(rows) if oracle_in_span(reduced[:rank], row)
             )
-            by_members.setdefault(members, hull)
+            by_members.setdefault(members, basis)
     return sorted(
-        ((hull, members) for members, hull in by_members.items()),
-        key=lambda pair: (pair[0].dim, tuple(sorted(pair[1]))),
+        ((basis, members) for members, basis in by_members.items()),
+        key=lambda pair: (len(pair[0]), tuple(sorted(pair[1]))),
     )
 
 
@@ -70,15 +69,18 @@ def oracle_join_structure(p):
     count = len(verts)
     splits = []
     seen = set()
-    for flat, members in hulls_of_subsets(verts, p.dim - 1, affine=True):
+    rows = _oracle_rows(verts, True)
+    for basis, members in hulls_of_subsets(verts, p.dim - 1, affine=True):
         assert len(members) < count
         rest = frozenset(range(count)) - members
         key = frozenset({members, rest})
         if key in seen:
             continue
         seen.add(key)
-        other = affine_hull([verts[i] for i in rest])
-        if not flats_complementary(flat, other):
+        other, rank, _ = oracle_rref([rows[i] for i in rest])
+        # complementary hulls: the homogenized spans add up directly to R^(n+1)
+        stacked = [list(b.coords) for b in basis] + other[:rank]
+        if len(stacked) != p.dim + 1 or oracle_rref(stacked)[1] != p.dim + 1:
             continue
         first, second = (members, rest) if 0 in members else (rest, members)
         splits.append((tuple(sorted(first)), tuple(sorted(second))))
@@ -127,10 +129,12 @@ def point_sets(draw):
 @given(point_sets(), st.booleans())
 def test_spanned_flats_match_subset_scan(pts, affine):
     n = pts[0].dim
+    rows = _integer_rows(pts, affine)
     for max_dim in range(n + 1):
-        assert _spanned_flats(pts, max_dim, affine=affine) == hulls_of_subsets(
-            pts, max_dim, affine=affine
-        )
+        walk = _spanned_flats(rows, n, max_dim, affine=affine)
+        expected = hulls_of_subsets(pts, max_dim, affine=affine)
+        assert [(flat.basis, members) for flat, members in walk] == expected
+        assert [flat.dim for flat, _ in walk] == [len(basis) - affine for basis, _ in expected]
 
 
 def _generated(kind, n, seed=0):

@@ -5,6 +5,11 @@ Frozen values: the pyramid over the unit-height square base has volume
 at heights +-1 is a tetrahedron of volume 4/3 (computed by hand as
 (1/3) * 2 * 2 * ... and confirmed against the hull machinery once before
 freezing).
+
+``projected_base_centroid`` is the cross-check ``pyramid_over`` ran
+before it read the apex fan: the base centroid computed inside its
+hyperplane through a coordinate projection, which with the pyramid formula
+c = (n c(F) + apex) / (n + 1) predicts the pyramid centroid.
 """
 from __future__ import annotations
 
@@ -14,8 +19,8 @@ from math import factorial
 import pytest
 
 from conevol.errors import CapExceeded, DegenerateInput, NotComplementary
-from conevol.kernel import affine_hull, vector
-from conevol.polytope import VPolytope, centroid, is_centered, polar, volume
+from conevol.kernel import Vector, affine_hull, matrix, rref, unit_vector, vector
+from conevol.polytope import VPolytope, centroid, convex_hull, is_centered, polar, volume
 from conevol.cone_measure import cone_volume_measure, pyramid_formula_check
 from conevol.concentration import affine_scc, detect_join_structure
 from conevol.generators import (
@@ -32,6 +37,26 @@ from conevol.generators import (
 
 def v(*xs):
     return vector(xs)
+
+
+def projected_base_centroid(points):
+    """Centroid of points spanning a hyperplane: the centroid of their hull
+    projected onto coordinates injective on that hyperplane, carried back by
+    its barycentric coordinates in a projected affine frame."""
+    pts = list(dict.fromkeys(points))
+    _, rank, coords = rref(matrix([(q - pts[0]).coords for q in pts[1:]]))
+    c_proj = centroid(convex_hull([Vector(tuple(q.coords[c] for c in coords)) for q in pts]))
+    frame = [pts[0]]
+    for q in pts[1:]:
+        diffs = [(w - pts[0]).coords for w in frame[1:] + [q]]
+        if len(frame) <= rank and rref(matrix(diffs))[1] == len(frame):
+            frame.append(q)
+    k = len(frame)
+    system = [[w.coords[c] for w in frame] + [x] for c, x in zip(coords, c_proj.coords)]
+    reduced, _, pivots = rref(matrix(system + [[1] * (k + 1)]))
+    assert pivots == tuple(range(k))
+    weights = [row.coords[k] for row in reduced.rows]
+    return Vector(tuple(sum(w * x for w, x in zip(weights, col)) for col in zip(*frame)))
 
 
 class TestCanonical:
@@ -106,6 +131,29 @@ class TestPyramidOver:
         p = pyramid_over(self.SQUARE_BASE, v(F(1, 2), F(-1, 3), 1))
         assert is_centered(p)
         assert volume(p) == F(4, 3)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_centroid_matches_projected_base(self, dim, seed):
+        # generate's pyramid_over base in x_n = 0, and the same base moved
+        # off center onto a tilted hyperplane that misses the apex
+        factor = random_centered(dim - 1, 2 * dim, seed)
+        shift = [F(seed + 1, i + 2) for i in range(dim - 1)]
+        tilt = [F(i + seed, 3) for i in range(dim - 1)]
+        bases = [
+            [Vector(q.coords + (F(0),)) for q in factor.vertices],
+            [
+                Vector(tuple(x + s for x, s in zip(q.coords, shift)) + (vector(tilt).dot(q),))
+                for q in factor.vertices
+            ],
+        ]
+        apex = unit_vector(dim, dim - 1)
+        pyramids = [pyramid_over(VPolytope(dim, tuple(points)), apex) for points in bases]
+        assert pyramids[0] == generate(GeneratorSpec("pyramid_over", dim, seed=seed))
+        for points, p in zip(bases, pyramids):
+            predicted = (projected_base_centroid(points).scale(dim) + apex).scale(F(1, dim + 1))
+            # pyramid_over moves the centroid to the origin
+            assert apex - predicted in p.vertices
 
 
 class TestRandomCentered:

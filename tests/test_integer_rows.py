@@ -11,6 +11,7 @@ the scaling by D and by the apex weight is carried through every test.
 """
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
 from math import factorial, gcd, lcm
 
@@ -44,6 +45,7 @@ from conevol.polytope import (
     vertex_fan_volume_centroid,
     volume,
 )
+from test_kernel import oracle_in_span, oracle_rref
 
 
 def oracle_incidence(p):
@@ -253,20 +255,35 @@ def test_rows_live_on_the_polytope():
             assert gcd(*g, c) == 1 and vector(g) == a.scale(c / b)
 
 
-def test_flat_membership_rows_are_kept_per_flat():
-    pts = [vector([F(1, 2), 0, 1]), vector([0, F(-2, 3), 1]), vector([1, 1, F(1, 7)])]
-    flat, span = affine_hull(pts), linear_span(pts[:2], 3)
-    probes = pts + [vector([F(1, 4), F(-1, 3), 1]), vector([0, 0, 0]), vector([3, -1, 2])]
-    for f, hom in ((flat, (ONE,)), (span, ())):
-        expected = [
-            rank_of_rows([r.coords for r in f.basis] + [q.coords + hom]) == len(f.basis)
-            for q in probes
-        ]
-        assert [f.contains(q) for q in probes] == expected
-        rows = f.__dict__["_rows"]
-        assert [f.contains(q) for q in probes] == expected
-        assert f.__dict__["_rows"] is rows
-        assert rows == [[x * lcm(*(y.denominator for y in r.coords)) for x in r.coords] for r in f.basis]
-    # the kept rows take no part in equality or hashing
-    assert flat == affine_hull(pts) and hash(flat) == hash(affine_hull(pts))
-    assert span == linear_span(pts[:2], 3) and hash(span) == hash(linear_span(pts[:2], 3))
+def test_flat_rows_are_primitive_reduced_rows():
+    # each stored row is its Fraction reduced row times the least positive
+    # integer that makes it integral: coprime entries, a positive pivot
+    rng = random.Random(7)
+    point_sets = [
+        [vector([F(1, 2), 0, 1]), vector([0, F(-2, 3), 1]), vector([1, 1, F(1, 7)])],
+        # the linear span ends on a negative pivot, which the canonical form flips
+        [vector([-2, 1]), vector([4, -2])],
+        [vector([0, F(-3, 4), F(5, 6)]), vector([0, 1, 0]), vector([0, 0, 0])],
+    ] + [
+        [vector([F(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(n)]) for _ in range(k)]
+        for n, k in [(2, 1), (2, 2), (3, 2), (3, 3), (4, 3), (4, 5)] * 5
+    ]
+    for pts in point_sets:
+        n = pts[0].dim
+        probes = pts + [vector([F(1, 4)] * n), zero_vector(n), pts[0].scale(3) - pts[-1]]
+        for f, hom in ((affine_hull(pts), [ONE]), (linear_span(pts, n), [])):
+            rows = [list(q.coords) + hom for q in pts]
+            reduced, rank, pivots = oracle_rref(rows)
+            assert len(f.rows) == rank
+            for row, expected, c in zip(f.rows, reduced, pivots):
+                assert all(type(x) is int for x in row)
+                assert gcd(*row) == 1 and row[c] > 0 and not any(row[:c])
+                assert [F(x, row[c]) for x in row] == expected
+            assert f.basis == tuple(vector(row) for row in reduced[:rank])
+            assert [f.contains(q) for q in probes] == [
+                oracle_in_span(rows, list(q.coords) + hom) for q in probes
+            ]
+        shuffled = pts[::-1]
+        assert affine_hull(shuffled) == affine_hull(pts)
+        assert hash(affine_hull(shuffled)) == hash(affine_hull(pts))
+        assert linear_span(shuffled, n) == linear_span(pts, n)

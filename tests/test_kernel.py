@@ -31,7 +31,6 @@ from conevol.kernel import (
     matrix,
     rank_of_rows,
     rref,
-    solve_unique,
     unit_vector,
     vector,
 )
@@ -146,13 +145,6 @@ class TestDeterminant:
 
 
 class TestSolveAndKernel:
-    def test_unique_solution(self):
-        x = solve_unique([vector([2, 0]), vector([1, 1])], [QQ(4), QQ(3)])
-        assert x == vector([2, 1])
-
-    def test_singular_returns_none(self):
-        assert solve_unique([vector([1, 1]), vector([2, 2])], [QQ(1), QQ(2)]) is None
-
     def test_kernel_of_hyperplane_rows(self):
         rows = [vector([1, 0, -1]), vector([0, 1, -1])]
         basis = kernel_basis(rows, 3)
@@ -187,7 +179,7 @@ class TestAffineFlat:
 
     def test_flat_at_infinity_rejected(self):
         with pytest.raises(DegenerateInput):
-            AffineFlat(2, (vector([1, 0, 0]),))
+            AffineFlat(2, ((1, 0, 0),))
 
     def test_membership_matches_affine_combination_oracle(self):
         rng = random.Random(20260822)
@@ -365,14 +357,6 @@ def oracle_kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[Vector]:
     return basis
 
 
-def oracle_solve_unique(rows: list[list[Fraction]], rhs: list[Fraction]) -> Vector | None:
-    n = len(rows)
-    reduced, rank, pivots = oracle_rref([row + [b] for row, b in zip(rows, rhs)])
-    if rank < n or pivots[:n] != list(range(n)):
-        return None
-    return vector(reduced[i][n] for i in range(n))
-
-
 def oracle_in_span(rows: list[list[Fraction]], target: list[Fraction]) -> bool:
     """The former membership test: reduce the target against the reduced
     basis at its pivot columns and look for a zero residual."""
@@ -443,21 +427,15 @@ class TestEngineAgainstFractionOracle:
             assert sub.contains(vector(candidate)) == oracle_in_span(rows, candidate)
             assert flat.contains(vector(candidate)) == oracle_in_span(hom, candidate + [QQ(1)])
 
-    @given(
-        rational_matrices(square=True),
-        st.lists(entries, min_size=5, max_size=5),
-        st.permutations(range(5)),
-    )
-    @example([[QQ(0)]], [QQ(1)] * 5, list(range(5)))
-    @example([[QQ(7, 3)]], [QQ(-2)] * 5, list(range(5)))
-    @example([[QQ(0)] * 3 for _ in range(3)], [QQ(1)] * 5, [2, 1, 0, 3, 4])
-    @example(REPEATED, [QQ(1)] * 5, [1, 0, 2, 3, 4])
+    @given(rational_matrices(square=True), st.permutations(range(5)))
+    @example([[QQ(0)]], list(range(5)))
+    @example([[QQ(7, 3)]], list(range(5)))
+    @example([[QQ(0)] * 3 for _ in range(3)], [2, 1, 0, 3, 4])
+    @example(REPEATED, [1, 0, 2, 3, 4])
     @settings(max_examples=200)
-    def test_square_systems_and_swap_parity(self, rows, rhs, shuffle):
+    def test_square_systems_and_swap_parity(self, rows, shuffle):
         n = len(rows)
-        vectors = [vector(row) for row in rows]
         assert determinant(matrix(rows)) == oracle_determinant(rows)
-        assert solve_unique(vectors, rhs[:n]) == oracle_solve_unique(rows, rhs[:n])
         # a permutation of range(5) restricted to range(n) is one of range(n)
         order = [i for i in shuffle if i < n]
         permuted = [rows[i] for i in order]

@@ -126,7 +126,7 @@ class TestTower:
 
     def test_trusted_levels_above_cap(self):
         tower = build_tower(SEGMENT, 8)
-        assert [lvl.verified for lvl in tower.levels] == [True] * 5 + [False] * 4
+        assert [lvl.verified for lvl in tower.levels] == [True] * 6 + [False] * 3
         top = tower.levels[8]
         assert top.polytope.dim == 9
         assert top.volume == 10
