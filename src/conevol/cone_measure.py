@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
 
 from .errors import OriginNotInterior
 from .kernel import Vector
@@ -78,27 +77,3 @@ def pyramid_formula_check(p: Polytope) -> tuple[Fraction, Fraction, bool]:
     total = cone_volume_measure(p).total
     return vol, total, vol == total
 
-
-def facet_cone_functional(
-    p: Polytope, facet_indices: Sequence[int], x: Vector
-) -> Fraction:
-    """sum over i of (1 - <a_i, x>) * vol(C_i), an affine function of x.
-
-    Restricted to the full facet index set it equals the volume at x = 0 and
-    drops by <x, sum a_i vol(C_i)> elsewhere.
-    """
-    if x.dim != p.dim:
-        raise ValueError(f"point dimension {x.dim} != ambient {p.dim}")
-    facet_indices = list(facet_indices)
-    if not facet_indices:
-        raise ValueError("need at least one facet index")
-    measure = cone_volume_measure(p)
-    seen = set()
-    total = Fraction(0)
-    for i in facet_indices:
-        if i in seen:
-            raise ValueError(f"repeated facet index {i}")
-        seen.add(i)
-        a, w = measure.atoms[i]
-        total += (1 - a.dot(x)) * w
-    return total

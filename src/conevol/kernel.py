@@ -11,9 +11,9 @@ need:
   integer rows, one Bareiss step (:func:`_eliminate`) per pivot, each
   dividing exactly by the pivot before it.  Rational rows are scaled once
   to integer rows first; rows that are integers already go in as they are.
-  Reduced row echelon form, rank, null space, determinants, canonical forms
-  and membership tests all read from it; Fractions are made only by the
-  final division by the last pivot,
+  Rank, determinants, canonical forms (reduced row echelon rows, each as a
+  primitive integer row) and membership tests all read from it; a Fraction
+  is made only for a result, at the end,
 * affine flats in homogeneous coordinates and linear subspaces, each stored
   in one canonical form, with membership tests and the complementarity
   tests used for joins.
@@ -190,27 +190,6 @@ def _scaled(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     return [integer_row(row) for row in rows]
 
 
-def _rref_core(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], int, list[int]]:
-    """Reduced row echelon form of rational rows.
-
-    Returns (the rank nonzero reduced rows, rank, pivot column indices).
-    Fractions are made only by the final division by d.
-    """
-    work, rank, pivots, d, _ = _echelon(_scaled(rows))
-    reduced = [
-        [ZERO if x == 0 else ONE if x == d else Fraction(x, d) for x in row]
-        for row in work[:rank]
-    ]
-    return reduced, rank, pivots
-
-
-def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
-    """Reduced row echelon form, rank, and pivot columns (exact)."""
-    reduced, rank, pivots = _rref_core([row.coords for row in m.rows])
-    kept = tuple(Vector(tuple(row)) for row in reduced)
-    return Matrix(kept), rank, tuple(pivots)
-
-
 def rank_of_rows(rows: Sequence[Sequence[Fraction]]) -> int:
     return _echelon(_scaled(rows))[1]
 
@@ -227,22 +206,6 @@ def determinant(m: Matrix) -> Fraction:
         return ZERO
     denom = prod(_denominator_lcm(row.coords) for row in m.rows)
     return Fraction(-d if swaps % 2 else d, denom)
-
-
-def kernel_basis(rows: Sequence[Vector], ncols: int) -> list[Vector]:
-    """Basis of the right null space of the row system (exact)."""
-    reduced, rank, pivots = _rref_core([row.coords for row in rows])
-    pivot_set = set(pivots)
-    basis: list[Vector] = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [ZERO] * ncols
-        v[free] = ONE
-        for i, p in enumerate(pivots):
-            v[p] = -reduced[i][free]
-        basis.append(Vector(tuple(v)))
-    return basis
 
 
 def canonical_rows(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

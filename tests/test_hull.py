@@ -3,7 +3,8 @@
 The oracle is the direct definition: every n-subset of the points that
 spans a hyperplane with all points on one side supports a facet, and a
 point is a vertex when the normals of the facets through it have full rank.
-It costs C(m, n) exact kernel computations, so inputs stay small.
+It costs C(m, n) exact kernel computations (the Fraction null space of
+``test_kernel``), so inputs stay small.
 """
 from __future__ import annotations
 
@@ -16,8 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from conevol.errors import CapExceeded, DegenerateInput
 from conevol.generators import centered_simplex, cross_polytope, cube
-from conevol.kernel import ONE, Vector, integer_row, kernel_basis, rank_of_rows, vector
+from conevol.kernel import ONE, Vector, integer_row, rank_of_rows, vector
 from conevol.polytope import _supporting_halfspaces, convex_hull
+from test_kernel import oracle_kernel_basis
 
 
 def subset_scan(points):
@@ -25,7 +27,7 @@ def subset_scan(points):
     n = points[0].dim
     found = set()
     for subset in itertools.combinations(range(len(points)), n):
-        basis = kernel_basis([Vector(points[i].coords + (-ONE,)) for i in subset], n + 1)
+        basis = oracle_kernel_basis([list(points[i].coords) + [-ONE] for i in subset], n + 1)
         if len(basis) != 1 or not any(basis[0].coords[:n]):
             continue
         g, c = Vector(basis[0].coords[:n]), basis[0].coords[n]

@@ -16,7 +16,7 @@ from fractions import Fraction as F
 from math import factorial, gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conevol.cone_measure import cone_volume, cone_volume_measure
 from conevol.errors import DegenerateInput
@@ -35,12 +35,14 @@ from conevol.kernel import (
 from conevol.polytope import (
     Polytope,
     VPolytope,
+    _assemble,
     _validate_polytope,
     centroid,
     convex_hull,
     face_dim,
     from_reps,
     polar,
+    translate,
     translate_to_centroid,
     vertex_fan_volume_centroid,
     volume,
@@ -196,6 +198,47 @@ def test_mixed_denominator_clouds_match_fraction_oracle(raw):
     rows, scale = p._vertex_rows
     assert scale == lcm(*(x.denominator for v in p.vertices for x in v.coords))
     assert [vector(F(x, scale) for x in r) for r in rows] == list(p.vertices)
+
+
+def fraction_translate(p, t):
+    """The former translate: every vertex and right-hand side moved in
+    Fractions, then canonicalized, with incidence derived afresh."""
+    rhs = [b + a.dot(t) for a, b in zip(p.normals, p.rhs)]
+    return _assemble([q + t for q in p.vertices], p.normals, rhs, validate="trusted")
+
+
+def translations(p):
+    """The centroid (origin interior after the move), a vertex and a facet
+    centre (origin on the boundary), a point outside, and a mixed-denominator
+    vector."""
+    members = [p.vertices[j] for j in sorted(p.incidence[-1])]
+    centre = sum(members[1:], members[0]).scale(F(1, len(members)))
+    odd = Vector(tuple(F((-1) ** i * (i + 2), 3 + 2 * i) for i in range(p.dim)))
+    return [-centroid(p), -p.vertices[0], -centre, p.vertices[-1].scale(-3), odd, zero_vector(p.dim)]
+
+
+def assert_translate_matches_fraction_path(p):
+    for t in translations(p):
+        q, expected = translate(p, t), fraction_translate(p, t)
+        assert q == expected
+        assert q._vertex_rows == expected._vertex_rows
+        assert q._facet_rows == expected._facet_rows
+        assert q.incidence == expected.incidence
+        assert q.facet_structure == expected.facet_structure
+        assert (volume(q), centroid(q)) == (volume(p), centroid(p) + t)
+
+
+@pytest.mark.parametrize("shift", SHIFTS, ids=["origin", "s1", "s2", "s3"])
+@pytest.mark.parametrize("name", ["cube3", "cross3", "cross4", "prism4", "grid3"])
+def test_translate_matches_fraction_path(name, shift):
+    assert_translate_matches_fraction_path(convex_hull(_shifted(NAMED[name], shift)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(mixed_clouds())
+def test_translate_of_mixed_denominator_clouds_matches_fraction_path(raw):
+    assume(rank_of_rows([q.coords + (ONE,) for q in set(raw)]) == raw[0].dim + 1)
+    assert_translate_matches_fraction_path(convex_hull(raw))
 
 
 @pytest.mark.parametrize("level", ["trusted", "full"])

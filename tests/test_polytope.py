@@ -27,7 +27,6 @@ from conevol.polytope import (
     centroid,
     contains_point,
     convex_hull,
-    face_closure,
     face_dim,
     from_reps,
     h_to_v,
@@ -35,7 +34,6 @@ from conevol.polytope import (
     is_pyramid,
     join,
     polar,
-    polar_face,
     pyramid_apexes,
     section_profile_q,
     translate,
@@ -250,6 +248,36 @@ class TestPolar:
         # vol(C) * vol(C*) = 8 * 4/3 = 32/3 for the 3-cube pair
         c = cube(3)
         assert volume(c) * volume(polar(c)) == F(32, 3)
+
+
+def face_closure(p, vertex_indices):
+    """(vertex set, facet set) of the smallest face containing the vertices,
+    read from the incidence table: the facets containing every given vertex,
+    and every vertex tight on all of them.  An empty facet set means the
+    smallest containing face is the polytope itself."""
+    s = frozenset(vertex_indices)
+    if not s or not s <= set(range(len(p.vertices))):
+        raise NotAFace(f"invalid vertex index set {sorted(s)}")
+    common = frozenset(range(p.facet_count))
+    for j in s:
+        common &= p.vertex_facets[j]
+    closure = frozenset(range(len(p.vertices)))
+    for i in common:
+        closure &= p.incidence[i]
+    return closure, common
+
+
+def polar_face(p, vertex_indices):
+    """The face of ``polar(p)`` dual to a proper face of ``p``: by index
+    alignment, the set of facets of ``p`` containing the face."""
+    assert p.unit_rhs
+    s = frozenset(vertex_indices)
+    closure, common = face_closure(p, s)
+    if not common:
+        raise NotAFace("the whole polytope is not a proper face")
+    if closure != s:
+        raise NotAFace(f"not a face: closure adds vertices {sorted(closure - s)}")
+    return common
 
 
 class TestFaces:
