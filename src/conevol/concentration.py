@@ -1,16 +1,18 @@
 """Subspace concentration audits for centered polytopes.
 
 A centered polytope (centroid at the origin) has a cone-volume measure whose
-mass cannot concentrate too heavily on any subspace of normals:
+mass cannot concentrate too heavily on any subspace of normals.  With each
+normal a_i written as a row of width n (linear) or as (a_i, 1) of width
+n + 1 (affine: a flat A is the linear span of its points (a, 1)), both
+inequalities are one bound, run by one code path:
 
-* linear:  mass on L         <=  (dim L / n) * vol(P)
-* affine:  mass on flat A    <=  ((dim A + 1) / (n + 1)) * vol(P)
+    mass on the span of some normal rows  <=  rank / row width * vol(P),
 
-Each audit op returns a :class:`ConcentrationReport` with the exact slack and,
-for the linear case, a complete equality certificate: equality holds iff the
-normals split across L and a complementary subspace L'.  For affine flats the
-complement witness is an attempt (the affine hull of the remaining normals);
-its absence does not refute equality.
+that is (dim L / n) vol(P) for a subspace L, ((dim A + 1) / (n + 1)) vol(P)
+for a flat A.  On equality, each :class:`ConcentrationReport` carries the
+span of the remaining rows as its witness when that span is complementary
+to the flat: a complete certificate for L (equality holds iff the normals
+split across L and a complement), an attempt for A.
 
 Equality cases of the affine inequality at the extremes are classified by
 :func:`equality_case_classification`: a facet's singleton flat attains the
@@ -28,16 +30,13 @@ from typing import Iterable, Sequence
 
 from .errors import NotCentered, TheoremViolation, TooManyFacets
 from .kernel import (
-    ONE,
     AffineFlat,
     LinearSubspace,
     Vector,
     _eliminate,
     _in_span,
     canonical_rows,
-    flats_complementary,
-    integer_row,
-    subspaces_complementary,
+    complementary,
 )
 from .polytope import (
     Polytope,
@@ -52,12 +51,16 @@ from .cone_measure import ConeVolumeMeasure, cone_volume_measure
 
 DEFAULT_FACET_CAP = 14
 
+Flat = AffineFlat | LinearSubspace
+# the report kind of each flat class, in the order full_audit reports them
+_KINDS = {AffineFlat: "affine", LinearSubspace: "linear"}
+
 
 @dataclass(frozen=True)
 class ComplementWitness:
     """A complementary flat L' with every normal in L u L' (resp. A u A')."""
 
-    complement: AffineFlat | LinearSubspace
+    complement: Flat
     member_indices: frozenset[int]
     complement_indices: frozenset[int]
 
@@ -72,7 +75,7 @@ class ConcentrationReport:
     """
 
     kind: str  # "linear" | "affine"
-    flat: AffineFlat | LinearSubspace
+    flat: Flat
     flat_dim: int
     member_indices: frozenset[int]
     lhs: Fraction
@@ -98,28 +101,18 @@ def _check_facet_cap(p: Polytope, facet_cap: int) -> None:
         )
 
 
-def _integer_rows(vectors: Iterable[Vector], affine: bool) -> list[list[int]]:
-    """Each vector as an integer row, homogenized with a trailing 1 for
-    affine flats: a positive multiple, so spans and membership are kept."""
-    return [integer_row(v.coords + (ONE,) if affine else v.coords) for v in vectors]
+def _integer_rows(vectors: Iterable[Vector], kind: type[Flat]) -> list[list[int]]:
+    """Each vector as an integer row of the flat class ``kind``."""
+    return [kind.row_of(v) for v in vectors]
 
 
-def _flat(rows: Sequence[Sequence[int]], n: int, affine: bool) -> AffineFlat | LinearSubspace:
-    """The canonical flat in R^n spanned by integer rows of
-    :func:`_integer_rows`."""
-    canonical = canonical_rows(rows)
-    return AffineFlat(n, canonical) if affine else LinearSubspace(n, canonical)
-
-
-def _flat_members(
-    flat: AffineFlat | LinearSubspace, rows: Sequence[Sequence[int]]
-) -> frozenset[int]:
+def _flat_members(flat: Flat, rows: Sequence[Sequence[int]]) -> frozenset[int]:
     return frozenset(i for i, row in enumerate(rows) if _in_span(flat.rows, row))
 
 
 def _report(
     p: Polytope,
-    flat: AffineFlat | LinearSubspace,
+    flat: Flat,
     members: frozenset[int],
     measure: ConeVolumeMeasure,
     rows: Sequence[Sequence[int]],
@@ -127,35 +120,29 @@ def _report(
     """The report for a flat whose normal members are known.
 
     ``rows`` are the normals as :func:`_integer_rows` of the flat's kind.
-    Linear bound (dim L / n) vol(P); affine bound ((dim A + 1) / (n + 1))
-    vol(P).  On equality the complement is spanned (linear) or affinely
-    generated (affine) by the remaining normals; for a linear subspace that
-    witness is decisive, for an affine flat it is an attempt.
+    One bound for both kinds: the mass on the span of some normal rows is
+    at most rank / row width * vol(P), that is (dim L / n) vol(P) for a
+    linear subspace and ((dim A + 1) / (n + 1)) vol(P) for an affine flat.
+    On equality the witness is the span of the remaining rows when it is
+    complementary to the flat; for a linear subspace that witness is
+    decisive, for an affine flat it is an attempt.
     """
-    affine = isinstance(flat, AffineFlat)
     lhs = sum((measure.weight(i) for i in members), Fraction(0))
-    if affine:
-        rhs = Fraction(flat.dim + 1, p.dim + 1) * measure.total
-    else:
-        rhs = Fraction(flat.dim, p.dim) * measure.total
+    rhs = Fraction(len(flat.rows), flat.width) * measure.total
     witness = None
     if lhs == rhs:
+        # the homogenized normals span R^(n+1), so a proper affine flat
+        # leaves some normal out and its complement has rows
         rest = [row for i, row in enumerate(rows) if i not in members]
-        complement: AffineFlat | LinearSubspace | None
-        if affine:
-            complement = _flat(rest, p.dim, affine) if rest else None
-            split = complement is not None and flats_complementary(flat, complement)
-        else:
-            complement = _flat(rest, p.dim, affine)
-            split = subspaces_complementary(flat, complement)
-        if split:
+        complement = type(flat)(p.dim, canonical_rows(rest))
+        if complementary(flat, complement):
             witness = ComplementWitness(
                 complement=complement,
                 member_indices=members,
                 complement_indices=frozenset(range(p.facet_count)) - members,
             )
     return ConcentrationReport(
-        kind="affine" if affine else "linear",
+        kind=_KINDS[type(flat)],
         flat=flat,
         flat_dim=flat.dim,
         member_indices=members,
@@ -165,6 +152,11 @@ def _report(
         equality=lhs == rhs,
         witness=witness,
     )
+
+
+def _audit(p: Polytope, flat: Flat) -> ConcentrationReport:
+    rows = _integer_rows(p.normals, type(flat))
+    return _report(p, flat, _flat_members(flat, rows), cone_volume_measure(p), rows)
 
 
 def linear_scc(
@@ -178,15 +170,14 @@ def linear_scc(
     """
     require_centered(p)
     if not isinstance(subspace, LinearSubspace):
-        subspace = _flat(_integer_rows(subspace, False), p.dim, False)
+        subspace = LinearSubspace(
+            p.dim, canonical_rows(_integer_rows(subspace, LinearSubspace))
+        )
     if subspace.ambient_dim != p.dim:
         raise ValueError(
             f"subspace ambient dim {subspace.ambient_dim} != polytope dim {p.dim}"
         )
-    rows = _integer_rows(p.normals, False)
-    return _report(
-        p, subspace, _flat_members(subspace, rows), cone_volume_measure(p), rows
-    )
+    return _audit(p, subspace)
 
 
 def affine_scc(p: Polytope, flat: AffineFlat) -> ConcentrationReport:
@@ -198,36 +189,34 @@ def affine_scc(p: Polytope, flat: AffineFlat) -> ConcentrationReport:
         )
     if flat.dim >= p.dim:
         raise ValueError("flat must be proper (dim < ambient dim)")
-    rows = _integer_rows(p.normals, True)
-    return _report(p, flat, _flat_members(flat, rows), cone_volume_measure(p), rows)
+    return _audit(p, flat)
 
 
 def _spanned_flats(
-    rows: Sequence[Sequence[int]], n: int, max_dim: int, *, affine: bool
-) -> list[tuple[AffineFlat | LinearSubspace, frozenset[int]]]:
-    """Every distinct flat of dim <= max_dim in R^n spanned by a subset of
-    points, given as :func:`_integer_rows`, with its member index set,
-    sorted by (dim, member tuple).
+    rows: Sequence[Sequence[int]], max_size: int
+) -> list[tuple[tuple[tuple[int, ...], ...], frozenset[int]]]:
+    """Every distinct span of at most ``max_size`` of the integer rows, as
+    its canonical rows with its member index set, sorted by (rank, member
+    tuple).
 
     A depth-first walk over index-increasing subsets on the integer rows.
-    ``table`` holds the fraction-free (Bareiss) elimination of the point
-    matrix, one column per point, restricted to the rows not yet used as
-    pivots: a point lies in the span of the current subset iff its column
+    ``table`` holds the fraction-free (Bareiss) elimination of the row
+    matrix, one column per row, restricted to the coordinates not yet used
+    as pivots: a row lies in the span of the current subset iff its column
     is zero.  Adding index j is one :func:`~conevol.kernel._eliminate` step
     with pivot column j.
-    Two prunes make every flat appear exactly once:
+    Two prunes make every span appear exactly once:
 
     * j already a member: the subset is dependent, and so is every
-      superset, whose hull a smaller independent subset spans;
-    * the new flat gains a member before j: the subset is not the greedy
-      basis of its flat (the members taken in index order, each kept iff
+      superset, whose span a smaller independent subset spans;
+    * the new span gains a member before j: the subset is not the greedy
+      basis of its span (the members taken in index order, each kept iff
       it is outside the span of those kept), and neither is any superset;
-      the flat is reached from its greedy basis instead.
+      the span is reached from its greedy basis instead.
 
-    The canonical flat is built once per flat, from the rows of its basis.
+    The canonical rows are built once per span, from the rows of its basis.
     """
     count = len(rows)
-    max_size = max_dim + 1 if affine else max_dim
     everyone = frozenset(range(count))
     found: list[tuple[frozenset[int], tuple[int, ...]]] = []
 
@@ -258,12 +247,11 @@ def _spanned_flats(
         table = [list(col) for col in zip(*rows)]
         zeros = zero_columns(table)
         if zeros:
-            # linear only: the zero vectors span the zero subspace
+            # zero rows (never homogenized ones) span the zero subspace
             found.append((zeros, ()))
         walk((), zeros, table, 1)
-    # a basis of a dim-d flat has d + 1 (affine) or d (linear) indices
     found.sort(key=lambda pair: (len(pair[1]), tuple(sorted(pair[0]))))
-    return [(_flat([rows[i] for i in basis], n, affine), members) for members, basis in found]
+    return [(canonical_rows([rows[i] for i in basis]), members) for members, basis in found]
 
 
 def enumerate_normal_flats(
@@ -285,8 +273,8 @@ def enumerate_normal_flats(
         max_dim = p.dim - 1
     if max_dim < 0:
         return []
-    rows = _integer_rows(p.normals, True)
-    return [flat for flat, _ in _spanned_flats(rows, p.dim, max_dim, affine=True)]
+    rows = _integer_rows(p.normals, AffineFlat)
+    return [AffineFlat(p.dim, canonical) for canonical, _ in _spanned_flats(rows, max_dim + 1)]
 
 
 def full_audit(
@@ -305,11 +293,11 @@ def full_audit(
         return []
     measure = cone_volume_measure(p)
     reports = []
-    for affine in (True, False):
-        rows = _integer_rows(p.normals, affine)
+    for kind in _KINDS:
+        rows = _integer_rows(p.normals, kind)
         reports += [
-            _report(p, flat, members, measure, rows)
-            for flat, members in _spanned_flats(rows, p.dim, max_flat_dim, affine=affine)
+            _report(p, kind(p.dim, canonical), members, measure, rows)
+            for canonical, members in _spanned_flats(rows, max_flat_dim + kind.homogenizing)
         ]
     return reports
 
@@ -430,10 +418,13 @@ def equality_case_classification(p: Polytope) -> list[EqualityCase]:
     base_facets = {base for _, base in apexes}
     apex_vertices = {v for v, _ in apexes}
     measure = cone_volume_measure(p)
-    rows = _integer_rows(p.normals, True)
+    rows = _integer_rows(p.normals, AffineFlat)
+
+    def hull(indices: Iterable[int]) -> AffineFlat:
+        return AffineFlat(p.dim, canonical_rows([rows[i] for i in indices]))
 
     for i in range(p.facet_count):
-        report = _report(p, _flat([rows[i]], p.dim, True), frozenset((i,)), measure, rows)
+        report = _report(p, hull((i,)), frozenset((i,)), measure, rows)
         if report.equality != (i in base_facets):
             raise TheoremViolation(
                 "facet equality does not match pyramid structure"
@@ -444,7 +435,7 @@ def equality_case_classification(p: Polytope) -> list[EqualityCase]:
             )
 
     for v_index, tight in enumerate(p.vertex_facets):
-        flat = _flat([rows[i] for i in tight], p.dim, True)
+        flat = hull(tight)
         if flat.dim != p.dim - 1:
             if v_index in apex_vertices:
                 raise TheoremViolation(
@@ -466,7 +457,7 @@ def equality_case_classification(p: Polytope) -> list[EqualityCase]:
     if is_simple(p):
         simplex = len(p.vertices) == p.dim + 1
         for facet_set in _proper_faces_of_simple(p):
-            flat = _flat([rows[i] for i in facet_set], p.dim, True)
+            flat = hull(facet_set)
             report = _report(p, flat, facet_set, measure, rows)
             if report.equality != simplex:
                 raise TheoremViolation(

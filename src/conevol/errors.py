@@ -24,10 +24,6 @@ class NotCentered(GeometryError):
     origin) was called on a non-centered polytope."""
 
 
-class NotAFace(GeometryError):
-    """A vertex-index set does not describe a face of the polytope."""
-
-
 class NotComplementary(GeometryError):
     """Two affine flats are not complementary (join precondition)."""
 

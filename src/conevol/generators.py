@@ -18,12 +18,13 @@ from fractions import Fraction
 from random import Random
 
 from .concentration import detect_join_structure
-from .errors import CapExceeded, DegenerateInput, TheoremViolation
+from .errors import DegenerateInput, TheoremViolation
 from .kernel import Vector, affine_hull, unit_vector, vector
 from .polytope import (
     DEFAULT_DIM_CAP,
     Polytope,
     VPolytope,
+    _check_dim_cap,
     centroid,
     convex_hull,
     from_reps,
@@ -64,8 +65,7 @@ class GeneratorSpec:
 def _require_dim(n: int, dim_cap: int) -> None:
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    if n > dim_cap:
-        raise CapExceeded(f"dimension {n} exceeds cap {dim_cap}")
+    _check_dim_cap(n, dim_cap)
 
 
 def cube(n: int, *, dim_cap: int = DEFAULT_DIM_CAP) -> Polytope:

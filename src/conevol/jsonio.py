@@ -185,7 +185,8 @@ def dumps(doc: Any) -> str:
 
 
 def loads(text: str | bytes) -> Any:
+    """Parse a document; malformed or too deeply nested JSON is bad input."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DegenerateInput(f"bad JSON: {exc}") from exc

@@ -14,23 +14,23 @@ need:
   Rank, determinants, canonical forms (reduced row echelon rows, each as a
   primitive integer row) and membership tests all read from it; a Fraction
   is made only for a result, at the end,
-* affine flats in homogeneous coordinates and linear subspaces, each stored
-  in one canonical form, with membership tests and the complementarity
-  tests used for joins.
+* one span type: a linear subspace of R^n spans rows of width n, an
+  affine flat ``A`` is the linear span of its points ``(a, 1)``, rows of
+  width n + 1.  Both kinds share membership, ``dim``, ``basis`` and one
+  complementarity test (:func:`complementary`), keyed by the row width.
 
-A flat is stored as ``rows``: the reduced row echelon rows of its span
-(homogenized generators ``(a_i, 1)`` for an affine flat ``A = {a : (a, 1)
-in span}``), each row written as its primitive integer multiple with a
-positive pivot entry.  Two flats are equal iff their rows are equal, which
-makes flats usable as dict keys and makes deduplication trivial.  The
-rational reduced row echelon basis is a derived view, ``basis``.
+A flat is stored as ``rows``: the reduced row echelon rows of its span,
+each written as its primitive integer multiple with a positive pivot
+entry.  Two flats of one kind are equal iff their rows are, which makes
+flats usable as dict keys and makes deduplication trivial.  The rational
+reduced row echelon basis is a derived view, ``basis``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Iterable, Sequence, Union
+from typing import ClassVar, Iterable, Sequence, Union
 
 from .errors import DegenerateInput
 
@@ -230,112 +230,94 @@ def _in_span(rows: Sequence[Sequence[int]], row: Sequence[int]) -> bool:
     return _echelon([*rows, row])[1] == len(rows)
 
 
-def _reduced_basis(rows: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
-    """Canonical rows as the reduced row echelon basis: each row over its
-    pivot, which is its first nonzero entry."""
-    basis = []
-    for row in rows:
-        lead = next(x for x in row if x)
-        basis.append(Vector(tuple(Fraction(x, lead) for x in row)))
-    return tuple(basis)
-
-
 @dataclass(frozen=True)
-class AffineFlat:
-    """An affine flat in R^n, canonicalized via homogeneous coordinates.
+class _Span:
+    """The span of canonical ``rows`` (:func:`canonical_rows`) of width
+    ``ambient_dim + homogenizing``: a vector ``v`` of R^n is the row ``v``
+    with ``homogenizing`` (a class constant) ones appended.  ``basis`` is
+    each row over its pivot, its first nonzero entry."""
 
-    ``rows`` is the canonical form (:func:`canonical_rows`) of the
-    homogenized generators ``(a_i, 1)``; each row has ``ambient_dim + 1``
-    entries.  A point ``a`` belongs to the flat iff ``(a, 1)`` lies in the
-    row span.  ``dim`` is ``len(rows) - 1``: a singleton flat has one row.
-    ``basis`` is the same span as rational reduced row echelon rows.
-    """
-
+    homogenizing: ClassVar[int]
     ambient_dim: int
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if any(len(row) != self.width for row in self.rows):
+            raise ValueError(f"basis rows must have ambient_dim + {self.homogenizing} entries")
+
+    @property
+    def width(self) -> int:
+        return self.ambient_dim + self.homogenizing
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows) - self.homogenizing
+
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        basis = []
+        for row in self.rows:
+            lead = next(x for x in row if x)
+            basis.append(Vector(tuple(Fraction(x, lead) for x in row)))
+        return tuple(basis)
+
+    @classmethod
+    def row_of(cls, v: Vector) -> list[int]:
+        """``v`` as an integer row of this kind: a positive multiple, so
+        spans and membership are kept."""
+        return integer_row(v.coords + (ONE,) * cls.homogenizing)
+
+    def contains(self, v: Vector) -> bool:
+        if v.dim != self.ambient_dim:
+            raise ValueError(f"vector dimension {v.dim} != ambient {self.ambient_dim}")
+        return _in_span(self.rows, self.row_of(v))
+
+
+@dataclass(frozen=True)
+class AffineFlat(_Span):
+    """An affine flat ``A = {a : (a, 1) in span}`` of R^n; a singleton flat
+    has one row."""
+
+    homogenizing: ClassVar[int] = 1
+
+    def __post_init__(self) -> None:
         if not self.rows:
             raise DegenerateInput("affine flat needs at least one basis row")
-        if any(len(row) != self.ambient_dim + 1 for row in self.rows):
-            raise ValueError("homogenized basis rows must have dimension ambient_dim + 1")
+        super().__post_init__()
         # A genuine affine flat must contain an actual point: some vector of
         # the span has nonzero last homogeneous coordinate.
         if all(row[-1] == 0 for row in self.rows):
             raise DegenerateInput("flat at infinity: no basis row has nonzero last coordinate")
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows) - 1
-
-    @property
-    def basis(self) -> tuple[Vector, ...]:
-        return _reduced_basis(self.rows)
-
-    def contains(self, point: Vector) -> bool:
-        if point.dim != self.ambient_dim:
-            raise ValueError(f"point dimension {point.dim} != ambient {self.ambient_dim}")
-        return _in_span(self.rows, integer_row(point.coords + (ONE,)))
 
 
 def affine_hull(points: Sequence[Vector]) -> AffineFlat:
     """Affine hull of a nonempty rational point set, in canonical form."""
     if not points:
         raise DegenerateInput("affine hull of an empty point set")
-    return AffineFlat(points[0].dim, canonical_rows(_scaled([p.coords + (ONE,) for p in points])))
-
-
-def flats_complementary(a: AffineFlat, b: AffineFlat) -> bool:
-    """True iff the homogenized spans intersect trivially and jointly span
-    dimension n + 1; equivalently dim A + dim B = n - 1, A and B disjoint,
-    and aff(A u B) = R^n."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    n = a.ambient_dim
-    if len(a.rows) + len(b.rows) != n + 1:
-        return False
-    return _echelon(a.rows + b.rows)[1] == n + 1
+    return AffineFlat(points[0].dim, canonical_rows([AffineFlat.row_of(p) for p in points]))
 
 
 @dataclass(frozen=True)
-class LinearSubspace:
-    """A linear subspace of R^n in canonical form (:func:`canonical_rows`).
+class LinearSubspace(_Span):
+    """A linear subspace of R^n: ``dim == len(rows)``; the zero subspace
+    has no rows."""
 
-    ``dim == len(rows)``; the zero subspace has no rows.  ``basis`` is the
-    same span as rational reduced row echelon rows.
-    """
-
-    ambient_dim: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if any(len(row) != self.ambient_dim for row in self.rows):
-            raise ValueError("basis rows must have the ambient dimension")
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    @property
-    def basis(self) -> tuple[Vector, ...]:
-        return _reduced_basis(self.rows)
-
-    def contains(self, v: Vector) -> bool:
-        if v.dim != self.ambient_dim:
-            raise ValueError(f"vector dimension {v.dim} != ambient {self.ambient_dim}")
-        return _in_span(self.rows, integer_row(v.coords))
+    homogenizing: ClassVar[int] = 0
 
 
 def linear_span(vectors: Sequence[Vector], ambient_dim: int) -> LinearSubspace:
     """Linear span of a (possibly empty) set of vectors, in canonical form."""
-    return LinearSubspace(ambient_dim, canonical_rows(_scaled([v.coords for v in vectors])))
+    return LinearSubspace(ambient_dim, canonical_rows([LinearSubspace.row_of(v) for v in vectors]))
 
 
-def subspaces_complementary(a: LinearSubspace, b: LinearSubspace) -> bool:
-    """True iff R^n is the direct sum of the two subspaces."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    n = a.ambient_dim
-    if a.dim + b.dim != n:
-        return False
-    return _echelon(a.rows + b.rows)[1] == n
+def complementary(a: _Span, b: _Span) -> bool:
+    """True iff the two spans sum directly to the whole row space.
+
+    For linear subspaces that is R^n = A + B, a direct sum.  For affine
+    flats the homogenized spans sum directly to R^(n+1): dim A + dim B =
+    n - 1, A and B are disjoint, and aff(A u B) = R^n.
+    """
+    if type(a) is not type(b) or a.ambient_dim != b.ambient_dim:
+        raise ValueError("complementary needs two flats of one kind in one ambient space")
+    width = a.width
+    return len(a.rows) + len(b.rows) == width and _echelon(a.rows + b.rows)[1] == width

@@ -145,7 +145,10 @@ def build_tower(
     if j_max < 0:
         raise ValueError("level count must be nonnegative")
     if j_max > level_cap:
-        raise CapExceeded(f"{j_max} levels > cap {level_cap}")
+        raise CapExceeded(
+            f"{j_max} levels > cap {level_cap}; "
+            "pass fewer with --levels (j_max in the library)"
+        )
     n = p.dim
     base_vol = volume(p)
     base_weights = [w for _, w in cone_volume_measure(p).atoms]

@@ -64,7 +64,7 @@ from .kernel import (
     Vector,
     _echelon,
     affine_hull,
-    flats_complementary,
+    complementary,
     integer_row,
     rank_of_rows,
     vector,
@@ -543,6 +543,14 @@ def v_to_h(v: VPolytope) -> HPolytope:
     return convex_hull(v.vertices, dim_cap=v.dim).h_rep
 
 
+def _check_dim_cap(n: int, dim_cap: int) -> None:
+    if n > dim_cap:
+        raise CapExceeded(
+            f"dimension {n} exceeds cap {dim_cap}; "
+            "raise it with --dim-cap (dim_cap= in the library)"
+        )
+
+
 def convex_hull(
     points: Sequence[Vector],
     *,
@@ -561,8 +569,7 @@ def convex_hull(
     n = pts[0].dim
     if any(p.dim != n for p in pts):
         raise ValueError("mixed point dimensions")
-    if n > dim_cap:
-        raise CapExceeded(f"dimension {n} exceeds cap {dim_cap}")
+    _check_dim_cap(n, dim_cap)
     facets = _supporting_halfspaces(pts)
     # a point is a vertex iff the facets through it meet in that point alone
     meet = [frozenset(range(len(pts)))] * len(pts)
@@ -790,7 +797,7 @@ def join(q1: VPolytope, q2: VPolytope, *, dim_cap: int = DEFAULT_DIM_CAP) -> Pol
         raise DegenerateInput("duplicate vertices")
     a1 = affine_hull(list(q1.vertices))
     a2 = affine_hull(list(q2.vertices))
-    if not flats_complementary(a1, a2):
+    if not complementary(a1, a2):
         raise NotComplementary(
             f"affine hulls of dimensions {a1.dim} and {a2.dim} are not complementary"
         )

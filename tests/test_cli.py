@@ -51,7 +51,7 @@ class TestGen:
         code, out, err = run_cli(["gen", "--kind", "cube", "--dim", "99"], capsys=capsys)
         assert code == 2
         assert out == ""
-        assert "cap" in err
+        assert "exceeds cap 6; raise it with --dim-cap" in err
 
     def test_text_format(self, capsys):
         code, out, _ = run_cli(
@@ -186,6 +186,18 @@ class TestAudit:
         code, _, err = run_cli(["audit"], stdin="{nope", capsys=capsys, monkeypatch=monkeypatch)
         assert code == 2
         assert "JSON" in err or "json" in err
+
+    def test_deeply_nested_json_exit_2(self, capsys, monkeypatch):
+        # the decoder recurses once per nesting level, also under an ignored key
+        deep = "[" * 100000 + "]" * 100000
+        ignored = json.dumps(SEGMENT_DOC)[:-1] + ', "ignored": ' + deep + "}"
+        for command in ("audit", "polar"):
+            for text in (deep, ignored):
+                code, out, err = run_cli(
+                    [command], stdin=text, capsys=capsys, monkeypatch=monkeypatch
+                )
+                assert (code, out) == (2, "")
+                assert "bad JSON" in err and "Traceback" not in err
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(["audit", "/no/such/file.json"], capsys=capsys)

@@ -91,6 +91,12 @@ class TestLinear:
         assert rep.witness is not None
         assert rep.witness.complement.dim == 0
         assert rep.witness.complement_indices == frozenset()
+        # the zero subspace, the other extreme: no mass, bound 0
+        rep = linear_scc(make_square(), [])
+        assert (rep.lhs, rep.rhs, rep.equality, rep.flat_dim) == (0, 0, True, 0)
+        assert rep.witness is not None
+        assert rep.witness.complement.dim == 2
+        assert rep.witness.complement_indices == frozenset(range(4))
 
     def test_accepts_prebuilt_subspace(self):
         sub = linear_span([v(0, 1)], 2)

@@ -29,7 +29,7 @@ from conevol.concentration import (
     linear_scc,
 )
 from conevol.generators import GeneratorSpec, centered_simplex, cross_polytope, cube, generate
-from conevol.kernel import Vector, vector
+from conevol.kernel import AffineFlat, LinearSubspace, Vector, vector
 from conevol.polytope import VPolytope, convex_hull, polar, translate_to_centroid
 from test_kernel import oracle_in_span, oracle_rref
 
@@ -129,9 +129,11 @@ def point_sets(draw):
 @given(point_sets(), st.booleans())
 def test_spanned_flats_match_subset_scan(pts, affine):
     n = pts[0].dim
-    rows = _integer_rows(pts, affine)
+    kind = AffineFlat if affine else LinearSubspace
+    rows = _integer_rows(pts, kind)
     for max_dim in range(n + 1):
-        walk = _spanned_flats(rows, n, max_dim, affine=affine)
+        spans = _spanned_flats(rows, max_dim + affine)
+        walk = [(kind(n, canonical), members) for canonical, members in spans]
         expected = hulls_of_subsets(pts, max_dim, affine=affine)
         assert [(flat.basis, members) for flat, members in walk] == expected
         assert [flat.dim for flat, _ in walk] == [len(basis) - affine for basis, _ in expected]

@@ -86,7 +86,7 @@ class TestCanonical:
             assert volume(centered_simplex(n)) == F(n + 1, factorial(n))
 
     def test_caps(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match="--dim-cap .dim_cap= in the library"):
             cube(7)
         with pytest.raises(ValueError):
             cube(0)
@@ -223,7 +223,7 @@ class TestGenerate:
         assert generate(GeneratorSpec("random", 2, points=6, seed=1)) == random_centered(2, 6, 1)
 
     def test_cap_via_generate(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match="--dim-cap"):
             generate(GeneratorSpec("cube", 99))
 
     def test_low_dim_composite_kinds(self):

@@ -24,8 +24,8 @@ from conevol.kernel import (
     Vector,
     affine_hull,
     as_fraction,
+    complementary,
     determinant,
-    flats_complementary,
     linear_span,
     matrix,
     rank_of_rows,
@@ -216,35 +216,43 @@ class TestFlatsComplementary:
     def test_point_and_line_in_plane(self):
         point = affine_hull([vector([1, 1])])
         line = affine_hull([vector([-2, 1]), vector([1, -2])])
-        assert flats_complementary(point, line)
-        assert flats_complementary(line, point)
+        assert complementary(point, line)
+        assert complementary(line, point)
 
     def test_two_points_on_a_line(self):
         a = affine_hull([vector([0])])
         b = affine_hull([vector([1])])
-        assert flats_complementary(a, b)
+        assert complementary(a, b)
 
     def test_two_points_in_the_plane_are_not_complementary(self):
         # Two 0-flats in R^2 stack to homogenized rank 2 < 3, so the
         # rank criterion rejects them: their joint affine hull is a line.
         a = affine_hull([vector([0, 1])])
         b = affine_hull([vector([0, -1])])
-        assert not flats_complementary(a, b)
+        assert not complementary(a, b)
 
     def test_parallel_lines_are_not_complementary(self):
         a = affine_hull([vector([0, 0]), vector([1, 0])])
         b = affine_hull([vector([0, 1]), vector([1, 1])])
-        assert not flats_complementary(a, b)
+        assert not complementary(a, b)
 
     def test_intersecting_point_on_line(self):
         line = affine_hull([vector([0, 0]), vector([1, 1])])
         point = affine_hull([vector([2, 2])])
-        assert not flats_complementary(point, line)
+        assert not complementary(point, line)
 
     def test_edge_and_opposite_vertex_of_triangle(self):
         edge = affine_hull([vector([1, 0]), vector([0, 1])])
         apex = affine_hull([vector([-1, -1])])
-        assert flats_complementary(edge, apex)
+        assert complementary(edge, apex)
+
+    def test_mixed_kinds_raise(self):
+        point = affine_hull([vector([1, 1])])
+        line = linear_span([vector([1, 0])], 2)
+        with pytest.raises(ValueError):
+            complementary(point, line)
+        with pytest.raises(ValueError):
+            complementary(line, point)
 
 
 class TestLinearSubspace:
@@ -431,6 +439,16 @@ class TestEngineAgainstFractionOracle:
         for candidate in (rows[-1], [x + y for x, y in zip(rows[0], rows[-1])], extra[:ncols]):
             assert sub.contains(vector(candidate)) == oracle_in_span(rows, candidate)
             assert flat.contains(vector(candidate)) == oracle_in_span(hom, candidate + [QQ(1)])
+        # the spans of the first rows and of the others sum directly to the
+        # row space iff their ranks add up to the width and to the joint rank
+        cut = len(rows) // 2
+        pairs = [(linear_span(vectors[:cut], ncols), linear_span(vectors[cut:], ncols), rows)]
+        if cut:
+            pairs.append((affine_hull(vectors[:cut]), affine_hull(vectors[cut:]), hom))
+        for a, b, oracle_rows in pairs:
+            width = len(oracle_rows[0])
+            ranks = oracle_rref(oracle_rows[:cut])[1] + oracle_rref(oracle_rows[cut:])[1]
+            assert complementary(a, b) == (ranks == width == oracle_rref(oracle_rows)[1])
 
     @given(rational_matrices(square=True), st.permutations(range(5)))
     @example([[QQ(0)]], list(range(5)))

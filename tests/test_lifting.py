@@ -136,7 +136,7 @@ class TestTower:
             assert all(a.dot(x) <= b for x in top.polytope.vertices)
 
     def test_level_count_cap(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match="21 levels > cap 20; .*--levels"):
             build_tower(SEGMENT, 21)
 
     def test_requires_centered(self):

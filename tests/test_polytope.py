@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from conevol.errors import (
     CapExceeded,
     DegenerateInput,
-    NotAFace,
     NotComplementary,
     OriginNotInterior,
     Unbounded,
@@ -98,7 +97,7 @@ class TestConvexHull:
 
     def test_dim_cap(self):
         pts = [vector([0] * 7)] + [unit_vector(7, i) for i in range(7)]
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match="--dim-cap .dim_cap= in the library"):
             convex_hull(pts)
 
     def test_segment_dim1(self):
@@ -248,6 +247,10 @@ class TestPolar:
         # vol(C) * vol(C*) = 8 * 4/3 = 32/3 for the 3-cube pair
         c = cube(3)
         assert volume(c) * volume(polar(c)) == F(32, 3)
+
+
+class NotAFace(Exception):
+    """A vertex-index set does not describe a face of the polytope."""
 
 
 def face_closure(p, vertex_indices):
