@@ -212,6 +212,8 @@ def cmd_gen(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_audit(args: argparse.Namespace) -> tuple[str, int]:
+    if args.max_flat_dim is not None and args.max_flat_dim < 0:
+        raise ValueError(f"--max-flat-dim must be nonnegative, got {args.max_flat_dim}")
     p, echo = _load_polytope(args)
     p = _require_centered_input(p, args, echo)
     # the bound that runs: full_audit clamps to proper flats

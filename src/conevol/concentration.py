@@ -93,6 +93,17 @@ def require_centered(p: Polytope) -> None:
         raise TheoremViolation("centered polytope without unit-rhs h-rep")
 
 
+def require_proper_flat(p: Polytope, flat: AffineFlat) -> None:
+    if not isinstance(flat, AffineFlat):
+        raise TypeError(f"need an AffineFlat, got {type(flat).__name__}")
+    if flat.ambient_dim != p.dim:
+        raise ValueError(
+            f"flat ambient dim {flat.ambient_dim} != polytope dim {p.dim}"
+        )
+    if flat.dim >= p.dim:
+        raise ValueError("flat must be proper (dim < ambient dim)")
+
+
 def _check_facet_cap(p: Polytope, facet_cap: int) -> None:
     if p.facet_count > facet_cap:
         raise TooManyFacets(
@@ -183,12 +194,7 @@ def linear_scc(
 def affine_scc(p: Polytope, flat: AffineFlat) -> ConcentrationReport:
     """Audit the affine subspace concentration inequality for a proper flat."""
     require_centered(p)
-    if flat.ambient_dim != p.dim:
-        raise ValueError(
-            f"flat ambient dim {flat.ambient_dim} != polytope dim {p.dim}"
-        )
-    if flat.dim >= p.dim:
-        raise ValueError("flat must be proper (dim < ambient dim)")
+    require_proper_flat(p, flat)
     return _audit(p, flat)
 
 

@@ -43,9 +43,9 @@ def cone_volume(p: Polytope, facet_index: int) -> Fraction:
     the sum of |det| over the facet simplices on the polytope's integer
     vertex rows, over n! D^n."""
     _require_origin_interior(p)
-    rows, scale = p._vertex_rows
+    rows = p.vertex_rows
     total = sum(_abs_det([rows[j] for j in s]) for s in p.facet_structure[facet_index].simplices)
-    return Fraction(total, factorial(p.dim) * scale**p.dim)
+    return Fraction(total, factorial(p.dim) * p.denominator**p.dim)
 
 
 def cone_volume_measure(p: Polytope) -> ConeVolumeMeasure:

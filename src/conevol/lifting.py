@@ -25,7 +25,7 @@ from .polytope import (
     volume,
 )
 from .cone_measure import cone_volume_measure
-from .concentration import require_centered
+from .concentration import require_centered, require_proper_flat
 
 DEFAULT_TOWER_CAP = 20
 DEFAULT_VERIFY_DIM_CAP = 6
@@ -76,23 +76,18 @@ def pyramid_lift(
 ) -> Polytope:
     """The lift of ``q``, one dimension up.
 
-    Representations are written from the closed form.  Up to ambient
-    dimension ``verify_dim_cap`` the facets are re-derived independently by
-    the hull oracle and must agree; above the cap, the closed form is
-    trusted after a containment-and-incidence certificate.  Output is
-    centered iff the input is.
+    Representations are written from the closed form and built at the
+    ``trusted`` level (containment and incidence).  Up to ambient dimension
+    ``verify_dim_cap`` the facets are re-derived independently by the hull
+    oracle, which runs the ``full`` certificate, and must agree; above the
+    cap, the closed form is trusted.  Output is centered iff the input is.
     """
     if not q.unit_rhs:
         raise OriginNotInterior(
             "closed-form lift facets need the origin strictly inside"
         )
     verts, normals = _lift_reps(q)
-    predicted = from_reps(
-        verts,
-        normals,
-        [ONE] * len(normals),
-        validate="full" if q.dim + 1 <= verify_dim_cap else "trusted",
-    )
+    predicted = from_reps(verts, normals, [ONE] * len(normals), validate="trusted")
     if q.dim + 1 <= verify_dim_cap:
         if convex_hull(verts) != predicted:
             raise TheoremViolation("hull of the lift disagrees with closed form")
@@ -195,12 +190,7 @@ def tower_bound(p: Polytope, flat: AffineFlat, j: int) -> Fraction:
     (d+1)/(n+1) * vol(P).
     """
     require_centered(p)
-    if flat.ambient_dim != p.dim:
-        raise ValueError(
-            f"flat ambient dim {flat.ambient_dim} != polytope dim {p.dim}"
-        )
-    if flat.dim >= p.dim:
-        raise ValueError("flat must be proper (dim < ambient dim)")
+    require_proper_flat(p, flat)
     if j < 1:
         raise ValueError("need at least one lift")
     n = p.dim

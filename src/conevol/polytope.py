@@ -1,13 +1,20 @@
 """Exact polytope representations and conversions.
 
-A :class:`Polytope` carries three synchronized pieces of data:
+A :class:`Polytope` is its integer rows and its incidence table:
 
-* ``v_rep``: the irredundant vertex list, sorted lexicographically,
-* ``h_rep``: the irredundant facet list.  When the origin is strictly
-  interior the facets are normalized to ``<a_i, x> <= 1``; otherwise they are
-  stored in primitive-integer form ``<g_i, x> <= c_i`` (this happens e.g. for
-  hulls taken before recentering, where the origin may sit on the boundary),
-* ``incidence``: for each facet, the set of vertex indices lying on it.
+* ``vertex_rows``: every vertex times the least common denominator D of all
+  vertex coordinates (``denominator``), sorted, which is the lexicographic
+  order of the vertices,
+* ``facet_rows``: every facet <g_i, x> <= c_i as its primitive integer row
+  (g_i, c_i), in canonical order (:func:`_canonical_facets`),
+* ``incidence``: for each facet, the set of vertex indices lying on it, that
+  is the j with g_i . V_j == c_i D.
+
+The rational views are derived from the rows once, on first use: the
+vertices V_j / D, and the facets, normalized to ``<a_i, x> <= 1`` when every
+c_i is positive (the origin strictly interior) and kept as ``<g_i, x> <= c_i``
+otherwise (this happens e.g. for hulls taken before recentering, where the
+origin may sit on the boundary).
 
 Everything is exact.  Facets of a hull are found by the double description
 method on integer rows: points are inserted one at a time, and each new
@@ -15,10 +22,9 @@ facet combines an adjacent pair of facets the point splits.  Facet-form
 input with positive right-hand sides goes through polarity: the hull of the
 scaled normals, read back through :func:`polar`.
 
-A polytope keeps two integer forms of itself for its lifetime, as cached
-attributes: every vertex as an integer row V_j on the common denominator D
-of all vertex coordinates, and every facet as its primitive integer row
-(g_i, c_i).  Incidence (g_i . V_j == c_i D), validation, the rank
+Every polytope is built by one constructor, :func:`_assemble`, from rows:
+a hull from its extreme points and double-description facets, a translate
+and a polar from the rows of their parent.  Incidence, validation, the rank
 certificates, volume, centroid and cone volumes all run on those rows
 through the kernel's one fraction-free elimination; each result becomes a
 Fraction once, at the end.
@@ -37,8 +43,9 @@ The certificate takes no elimination per face: a listed facet of a face
 has at most one dimension less than the face, and the longest chain of
 listed facets below a face bounds its dimension from below
 (:func:`_chain`).  A translate keeps the vertex order and each facet's
-vertex set, so it is built from its parent's integer rows and carries the
-face lattice over.
+vertex set, so it is built from its parent's integer rows and, once its
+facet vertex sets are checked to be its parent's, carries the face lattice
+over.
 """
 from __future__ import annotations
 
@@ -67,7 +74,6 @@ from .kernel import (
     complementary,
     integer_row,
     rank_of_rows,
-    vector,
 )
 
 DEFAULT_DIM_CAP = 6
@@ -121,39 +127,63 @@ class _FacetStructure:
 
 @dataclass(frozen=True)
 class Polytope:
-    """A full-dimensional bounded rational polytope with both representations."""
+    """A full-dimensional bounded rational polytope, stored as integer rows.
 
-    v_rep: VPolytope
-    h_rep: HPolytope
+    ``vertex_rows`` are the vertices times their least common denominator
+    ``denominator``, sorted; ``facet_rows`` are the facets <g, x> <= c as
+    primitive rows (g, c) in canonical order; ``incidence`` lists, for each
+    facet, the indices of the vertex rows on it.  The rational views
+    (``vertices``, ``normals``, ``rhs``, ``v_rep``, ``h_rep``) are derived
+    from the rows once, on first use.  Built by :func:`_assemble`.
+    """
+
+    vertex_rows: tuple[tuple[int, ...], ...]
+    denominator: int
+    facet_rows: tuple[tuple[tuple[int, ...], int], ...]
     incidence: tuple[frozenset[int], ...]
 
     @property
     def dim(self) -> int:
-        return self.v_rep.dim
+        return len(self.vertex_rows[0])
 
-    @property
+    @cached_property
     def vertices(self) -> tuple[Vector, ...]:
-        return self.v_rep.vertices
+        d = self.denominator
+        return tuple(Vector(tuple(Fraction(x, d) for x in row)) for row in self.vertex_rows)
 
-    @property
+    @cached_property
     def normals(self) -> tuple[Vector, ...]:
-        return self.h_rep.normals
+        """g / c (right-hand side 1) when the origin is interior, else g."""
+        if self.origin_interior:
+            return tuple(Vector(tuple(Fraction(x, c) for x in g)) for g, c in self.facet_rows)
+        return tuple(Vector(tuple(map(Fraction, g))) for g, _ in self.facet_rows)
 
-    @property
+    @cached_property
     def rhs(self) -> tuple[Fraction, ...]:
-        return self.h_rep.rhs
+        if self.origin_interior:
+            return (ONE,) * len(self.facet_rows)
+        return tuple(Fraction(c) for _, c in self.facet_rows)
+
+    @cached_property
+    def v_rep(self) -> VPolytope:
+        return VPolytope(self.dim, self.vertices)
+
+    @cached_property
+    def h_rep(self) -> HPolytope:
+        return HPolytope(self.dim, self.normals, self.rhs)
 
     @property
     def facet_count(self) -> int:
-        return len(self.h_rep.normals)
+        return len(self.facet_rows)
 
     @cached_property
     def origin_interior(self) -> bool:
-        return all(b > 0 for b in self.h_rep.rhs)
+        return all(c > 0 for _, c in self.facet_rows)
 
-    @cached_property
+    @property
     def unit_rhs(self) -> bool:
-        return all(b == 1 for b in self.h_rep.rhs)
+        """The facets read ``<a_i, x> <= 1``: exactly when the origin is interior."""
+        return self.origin_interior
 
     @cached_property
     def centered(self) -> bool:
@@ -221,22 +251,8 @@ class Polytope:
         return tuple(_FacetStructure(self._triangulate(f)) for f in self.incidence)
 
     @cached_property
-    def _vertex_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """Every vertex times the common denominator D of all coordinates, and D."""
-        return _denominator_rows(self.vertices)
-
-    @cached_property
-    def _facet_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Every facet <a, x> <= b as its primitive integer row (g, c)."""
-        return tuple(_primitive_halfspace(a.coords, b) for a, b in zip(self.normals, self.rhs))
-
-    @cached_property
     def _volume_centroid(self) -> tuple[Fraction, Vector]:
         return _volume_centroid_coned(self, None)
-
-
-def _sorted_vertex_tuple(points: Iterable[Vector]) -> tuple[Vector, ...]:
-    return tuple(sorted(set(points)))
 
 
 def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
@@ -250,114 +266,102 @@ def _denominator_rows(points: Sequence[Vector]) -> tuple[tuple[tuple[int, ...], 
     return tuple(tuple(x.numerator * (scale // x.denominator) for x in p.coords) for p in points), scale
 
 
-def _primitive_halfspace(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[tuple[int, ...], int]:
-    """Scale <g, x> <= c by a positive rational so entries become coprime
-    integers.  Orientation is preserved (positive scaling only)."""
-    ints = _primitive(integer_row(tuple(coeffs) + (rhs,)))
-    return ints[:-1], ints[-1]
+def _facet_row(ints: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """The halfspace <g, x> <= c given as the integer row (g, c), scaled by
+    a positive rational to its primitive row."""
+    h = _primitive(ints)
+    return h[:-1], h[-1]
 
 
 def _canonical_facets(
-    rows: Sequence[tuple[tuple[int, ...], int]],
-) -> tuple[list[int], list[Vector], list[Fraction]]:
-    """Canonical form and order of distinct primitive facet rows (g, c).
+    rows: Iterable[tuple[tuple[int, ...], int]],
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Distinct primitive facet rows (g, c) in canonical order.
 
-    A facet is the normal g / c with right-hand side 1 when every c is
-    positive (the origin strictly inside), else g with right-hand side c;
-    facets are sorted lexicographically so equal polytopes compare equal.
-    Returns the order (indices into ``rows``), the normals and the
-    right-hand sides.  The unit normals sort as the integer rows g (L / c)
-    over the least common multiple L of every c.
+    When every c is positive (the origin strictly inside) a facet reads as
+    the unit normal g / c with right-hand side 1, and facets sort by those
+    normals, that is as the integer rows g (L / c) over the least common
+    multiple L of every c; otherwise they sort as (g, c).  Equal polytopes
+    get equal rows in equal order.
     """
+    rows = set(rows)
     if all(c > 0 for _, c in rows):
         common = lcm(*(c for _, c in rows))
-        order = sorted(range(len(rows)), key=lambda i: [x * (common // rows[i][1]) for x in rows[i][0]])
-        normals = [Vector(tuple(Fraction(x, c) for x in g)) for g, c in (rows[i] for i in order)]
-        return order, normals, [ONE] * len(order)
-    order = sorted(range(len(rows)), key=rows.__getitem__)
-    normals = [Vector(tuple(map(Fraction, rows[i][0]))) for i in order]
-    return order, normals, [Fraction(rows[i][1]) for i in order]
+        return tuple(sorted(rows, key=lambda row: [x * (common // row[1]) for x in row[0]]))
+    return tuple(sorted(rows))
 
 
 def _assemble(
-    vertices: Sequence[Vector],
-    normals: Sequence[Vector],
-    rhs: Sequence[Fraction],
+    vertex_rows: Sequence[Sequence[int]],
+    denominator: int,
+    facet_rows: Iterable[tuple[tuple[int, ...], int]],
     *,
     validate: str = "full",
 ) -> Polytope:
-    """Canonicalize representations (:func:`_canonical_facets`), derive
-    incidence, validate, construct."""
-    verts = _sorted_vertex_tuple(vertices)
-    if not verts:
-        raise DegenerateInput("no vertices")
-    n = verts[0].dim
-    primitive = list({_primitive_halfspace(a.coords, b) for a, b in zip(normals, rhs, strict=True)})
-    order, facet_normals, facet_rhs = _canonical_facets(primitive)
-    facet_rows = tuple(primitive[i] for i in order)
-    rows, scale = _denominator_rows(verts)
-    incidence = tuple(
-        frozenset(j for j, v in enumerate(rows) if sum(map(mul, g, v)) == c * scale)
-        for g, c in facet_rows
-    )
-    poly = Polytope(
-        VPolytope(n, verts),
-        HPolytope(n, tuple(facet_normals), tuple(facet_rhs)),
-        incidence,
-    )
-    poly.__dict__.update(_vertex_rows=(rows, scale), _facet_rows=facet_rows)
-    _validate_polytope(poly, validate)
-    return poly
+    """The one constructor: the polytope of the vertex rows over
+    ``denominator`` and the primitive facet rows (g, c).
 
-
-def _validate_polytope(p: Polytope, level: str) -> None:
-    """Certify the V/H pair describes one and the same bounded polytope.
-
-    ``trusted`` checks containment and incidence agreement only, for
-    constructions proven complete (a translate, a polar, a closed-form lift
-    above the verification cap).  It accepts an incomplete facet list, and
-    the volume read from it is then wrong without an error (the
+    The vertex rows are put over their least common denominator D,
+    deduplicated and sorted; the facet rows are deduplicated and put in
+    canonical order (:func:`_canonical_facets`).  One pass over g . V_j
+    against c D derives incidence and rejects a vertex outside a facet.
+    That is all ``trusted`` checks, for constructions proven complete (a
+    translate, a polar, a closed-form lift); it accepts an incomplete facet
+    list, and the volume read from it is then wrong without an error (the
     3-cross-polytope less its first facet gives 7/6 instead of 4/3).
-    ``full`` adds the rank certificates (the vertices span dimension n, and
-    each is a genuine vertex of the H-polytope), checks that each halfspace
-    supports a genuine facet of the hull, and certifies the facet list is
-    complete by :func:`_certify_facet_list`.
-
-    Every test runs on the integer rows the polytope keeps for its lifetime:
-    vertex j is the row V_j over the common denominator D, facet i the
-    primitive row (g_i, c_i), so vertex j lies on facet i iff
-    g_i . V_j == c_i D, and ranks are ranks of those rows.  Past the two
-    rank checks no face needs an elimination: once incidence is exact, a
-    face's dimension is bounded from below by :func:`_chain`, and from above
-    by the face it was cut from.  Halfspace i leaves some vertex strictly
-    inside, so aff T_i lies in a hyperplane and dim T_i <= n - 1; hence
-    ``_chain(T_i) == n - 1`` certifies that T_i is a facet.
+    ``full`` adds the certificate of :func:`_validate_polytope`.
     """
-    if level not in ("trusted", "full"):
-        raise ValueError(f"unknown validation level: {level}")
-    n = p.dim
-    verts = p.vertices
-    if len(verts) < n + 1:
-        raise DegenerateInput(f"{len(verts)} vertices cannot span dimension {n}")
-    rows, scale = p._vertex_rows
-    facets = p._facet_rows
-    for (g, c), tight, a, b in zip(facets, p.incidence, p.normals, p.rhs, strict=True):
-        bound = c * scale
+    if validate not in ("trusted", "full"):
+        raise ValueError(f"unknown validation level: {validate}")
+    k = gcd(denominator, *itertools.chain.from_iterable(vertex_rows))
+    rows = sorted({tuple(x // k for x in row) for row in vertex_rows})
+    if not rows:
+        raise DegenerateInput("no vertices")
+    scale, n = denominator // k, len(rows[0])
+    if len(rows) < n + 1:
+        raise DegenerateInput(f"{len(rows)} vertices cannot span dimension {n}")
+    facets = _canonical_facets(facet_rows)
+    incidence = []
+    for g, c in facets:
+        bound, tight = c * scale, []
         for j, v in enumerate(rows):
             d = sum(map(mul, g, v))
-            if d > bound:
-                raise DegenerateInput(f"vertex {verts[j].coords} violates facet {a.coords} <= {b}")
-            if (d == bound) != (j in tight):
-                raise DegenerateInput("incidence table disagrees with tightness")
-    if level == "trusted":
-        return
-    everything = frozenset(range(len(verts)))
+            if d == bound:
+                tight.append(j)
+            elif d > bound:
+                point = tuple(Fraction(x, scale) for x in v)
+                raise DegenerateInput(f"vertex {point} violates facet {g} . x <= {c}")
+        incidence.append(frozenset(tight))
+    p = Polytope(tuple(rows), scale, facets, tuple(incidence))
+    if validate == "full":
+        _validate_polytope(p)
+    return p
+
+
+def _validate_polytope(p: Polytope) -> None:
+    """The ``full`` certificate: the facet rows of ``p`` describe exactly
+    the hull of its vertex rows, given the containment and incidence that
+    :func:`_assemble` derived.
+
+    It checks the rank certificates (the vertices span dimension n, and
+    each is a genuine vertex of the H-polytope), that each halfspace
+    supports a genuine facet of the hull, and that the facet list is
+    complete by :func:`_certify_facet_list`.  Ranks are ranks of the integer
+    rows.  Past the two rank checks no face needs an elimination: once
+    incidence is exact, a face's dimension is bounded from below by
+    :func:`_chain`, and from above by the face it was cut from.  Halfspace i
+    leaves some vertex strictly inside, so aff T_i lies in a hyperplane and
+    dim T_i <= n - 1; hence ``_chain(T_i) == n - 1`` certifies that T_i is
+    a facet.
+    """
+    n = p.dim
+    everything = frozenset(range(len(p.vertex_rows)))
     rank = face_dim(p, everything)
     if rank != n:
         raise DegenerateInput(f"affine rank {rank} < ambient dimension {n}")
     for j, tight_facets in enumerate(p.vertex_facets):
-        if _echelon([facets[i][0] for i in tight_facets])[1] != n:
-            raise DegenerateInput(f"point {verts[j].coords} is not a vertex (tight rank < {n})")
+        if _echelon([p.facet_rows[i][0] for i in tight_facets])[1] != n:
+            raise DegenerateInput(f"point {p.vertices[j].coords} is not a vertex (tight rank < {n})")
     chains: dict[frozenset[int], int] = {}
     for i, tight in enumerate(p.incidence):
         if _chain(p, tight, chains) != n - 1:
@@ -440,7 +444,7 @@ def _volume_centroid_coned(p: Polytope, apex_index: int | None) -> tuple[Fractio
     the end.
     """
     n = p.dim
-    rows, scale = p._vertex_rows
+    rows, scale = p.vertex_rows, p.denominator
     if apex_index is None:
         s, apex = len(rows), [sum(col) for col in zip(*rows)]
     else:
@@ -563,7 +567,7 @@ def convex_hull(
     rank when the points do not span, and :class:`CapExceeded` above the
     dimension cap or the facet cap.
     """
-    pts = _sorted_vertex_tuple(points)
+    pts = tuple(sorted(set(points)))
     if not pts:
         raise DegenerateInput("empty point set")
     n = pts[0].dim
@@ -576,11 +580,8 @@ def convex_hull(
     for tight in facets.values():
         for j in tight:
             meet[j] &= tight
-    return _assemble(
-        [p for j, p in enumerate(pts) if meet[j] == {j}],
-        [vector(h[:n]) for h in facets],
-        [Fraction(-h[n]) for h in facets],
-    )
+    rows, scale = _denominator_rows([p for j, p in enumerate(pts) if meet[j] == {j}])
+    return _assemble(rows, scale, [(h[:n], -h[n]) for h in facets])
 
 
 def _polar_hull(h: HPolytope, *, dim_cap: int) -> Polytope:
@@ -620,17 +621,21 @@ def from_reps(
     """Build a polytope from externally known representations, running the
     consistency certificate at the requested strictness.
 
-    ``validate="full"`` certifies that the facet list is complete.  With
-    ``trusted`` an incomplete list is accepted and :func:`volume` is then
-    wrong without an error: the 3-cross-polytope less its first facet gives
-    7/6 instead of 4/3.
+    The input is checked as :class:`VPolytope` and :class:`HPolytope` check
+    it, then turned into integer rows once.  ``validate="full"`` certifies
+    that the facet list is complete.  With ``trusted`` (containment only)
+    an incomplete list is accepted and :func:`volume` is then wrong without
+    an error: the 3-cross-polytope less its first facet gives 7/6 instead
+    of 4/3.
     """
-    return _assemble(
-        vertices,
-        tuple(normals),
-        tuple(Fraction(b) for b in rhs),
-        validate=validate,
-    )
+    vertices = tuple(vertices)
+    if not vertices:
+        raise DegenerateInput("no vertices")
+    v = VPolytope(vertices[0].dim, vertices)
+    h = HPolytope(v.dim, tuple(normals), tuple(Fraction(b) for b in rhs))
+    rows, scale = _denominator_rows(v.vertices)
+    facets = [_facet_row(integer_row(a.coords + (b,))) for a, b in zip(h.normals, h.rhs)]
+    return _assemble(rows, scale, facets, validate=validate)
 
 
 def translate(p: Polytope, t: Vector) -> Polytope:
@@ -638,43 +643,31 @@ def translate(p: Polytope, t: Vector) -> Polytope:
     of ``p``; representations are re-canonicalized exactly.
 
     Write t = T / E with T integer and E the least common denominator.
-    Adding t keeps the lexicographic vertex order, so vertex j of the
-    result is V_j / D + T / E, put over the least common denominator of all
-    its coordinates.  Each facet keeps its vertex set: (g, c) becomes the
-    primitive row of (E g, E c + g . T) and is re-sorted in canonical form,
-    carrying its incidence along.  The memoised facet lists, triangulations
-    and faces are vertex-index data, the same for the translate, and are
+    Vertex j of the result is V_j / D + T / E, and facet (g, c) becomes the
+    primitive row of (E g, E c + g . T); :func:`_assemble` builds the
+    result at the ``trusted`` level.  Adding t keeps the lexicographic
+    vertex order and each facet's vertex set, and the derived incidence
+    must say so, else :class:`TheoremViolation`.  Then the memoised facet
+    lists, triangulations and faces, which are vertex-index data, are
     carried over.  Volume and centroid are not: they are recomputed when
-    asked for.  The result is checked at the ``trusted`` level.
+    asked for.
     """
     if t.dim != p.dim:
         raise ValueError(f"translation dimension {t.dim} != ambient {p.dim}")
-    rows, scale = p._vertex_rows
     (shift,), e = _denominator_rows((t,))
-    common = lcm(scale, e)
-    a, b = common // scale, common // e
-    moved = [[a * x + b * y for x, y in zip(row, shift)] for row in rows]
-    k = gcd(common, *itertools.chain.from_iterable(moved))
-    moved_rows, moved_scale = tuple(tuple(x // k for x in row) for row in moved), common // k
-    facet_rows = []
-    for g, c in p._facet_rows:
-        h = _primitive([e * x for x in g] + [e * c + sum(map(mul, g, shift))])
-        facet_rows.append((h[:-1], h[-1]))
-    order, normals, rhs = _canonical_facets(facet_rows)
-    q = Polytope(
-        VPolytope(p.dim, tuple(Vector(tuple(Fraction(x, moved_scale) for x in row)) for row in moved_rows)),
-        HPolytope(p.dim, tuple(normals), tuple(rhs)),
-        tuple(p.incidence[i] for i in order),
+    common = lcm(p.denominator, e)
+    a, b = common // p.denominator, common // e
+    q = _assemble(
+        [[a * x + b * y for x, y in zip(row, shift)] for row in p.vertex_rows],
+        common,
+        [_facet_row([e * x for x in g] + [e * c + sum(map(mul, g, shift))]) for g, c in p.facet_rows],
+        validate="trusted",
     )
-    q.__dict__.update(
-        _vertex_rows=(moved_rows, moved_scale),
-        _facet_rows=tuple(facet_rows[i] for i in order),
-        _facet_lists=dict(p._facet_lists),
-        _triangulations=dict(p._triangulations),
-    )
+    if set(q.incidence) != set(p.incidence):
+        raise TheoremViolation("a translate changed the vertex sets of the facets")
+    q.__dict__.update(_facet_lists=dict(p._facet_lists), _triangulations=dict(p._triangulations))
     if "_faces" in p.__dict__:
         q.__dict__["_faces"] = p._faces
-    _validate_polytope(q, "trusted")
     return q
 
 
@@ -693,25 +686,28 @@ def is_centered(p: Polytope) -> bool:
 def polar(p: Polytope) -> Polytope:
     """The polar body: vertices and facet normals swap roles exactly.
 
-    Requires the origin strictly inside.  The facet list of ``p`` is sorted
-    lexicographically, as vertex lists are, so indices align: vertex ``i`` of
-    the polar is normal ``i`` of ``p`` and incidence transposes.
+    Requires the origin strictly inside.  The vertices of the polar are the
+    unit normals g / c of ``p``, as the rows g (L / c) over the least common
+    multiple L of every c, which is the key :func:`_canonical_facets` sorts
+    the facets of ``p`` by; its facets are the primitive rows of (V_j, D).
+    Both lists are sorted lexicographically, so indices align: vertex ``i``
+    of the polar is normal ``i`` of ``p`` and incidence transposes.  Built
+    at the ``trusted`` level.
     """
     if not p.unit_rhs:
         raise OriginNotInterior("polar needs the origin strictly inside (unit rhs form)")
-    ones = (ONE,) * len(p.vertices)
-    dual = Polytope(
-        VPolytope(p.dim, p.normals),
-        HPolytope(p.dim, p.vertices, ones),
-        p.vertex_facets,
+    common = lcm(*(c for _, c in p.facet_rows))
+    return _assemble(
+        [[x * (common // c) for x in g] for g, c in p.facet_rows],
+        common,
+        [_facet_row(row + (p.denominator,)) for row in p.vertex_rows],
+        validate="trusted",
     )
-    _validate_polytope(dual, "trusted")
-    return dual
 
 
 def face_dim(p: Polytope, vertex_indices: Iterable[int]) -> int:
     """Dimension of the affine hull of the given vertices."""
-    rows, scale = p._vertex_rows
+    rows, scale = p.vertex_rows, p.denominator
     return _echelon([rows[i] + (scale,) for i in vertex_indices])[1] - 1
 
 

@@ -182,6 +182,14 @@ class TestAudit:
         assert doc["max_flat_dim"] == 1
         assert max(r["flat_dim"] for r in doc["reports"]) == 1
 
+    def test_negative_max_flat_dim_exit_2(self, capsys, monkeypatch):
+        _, gen_out, _ = run_cli(["gen", "--kind", "cube", "--dim", "2"], capsys=capsys)
+        code, out, err = run_cli(
+            ["audit", "--max-flat-dim", "-3"], stdin=gen_out, capsys=capsys, monkeypatch=monkeypatch
+        )
+        assert (code, out) == (2, "")
+        assert "--max-flat-dim" in err
+
     def test_bad_json_exit_2(self, capsys, monkeypatch):
         code, _, err = run_cli(["audit"], stdin="{nope", capsys=capsys, monkeypatch=monkeypatch)
         assert code == 2

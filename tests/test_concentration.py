@@ -132,6 +132,8 @@ class TestAffine:
         sq = make_square()
         with pytest.raises(ValueError):
             affine_scc(sq, affine_hull([v(1, 0), v(0, 1), v(-1, 0)]))
+        with pytest.raises(TypeError, match="AffineFlat"):
+            affine_scc(cube(3), linear_span([v(1, 0, 0)], 3))
 
     def test_witness_split_sums_to_volume(self):
         tri = make_triangle()

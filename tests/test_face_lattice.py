@@ -27,7 +27,6 @@ from conevol.errors import DegenerateInput
 from conevol.generators import centered_simplex, cross_polytope, cube
 from conevol.kernel import Matrix, Vector, affine_hull, determinant, rank_of_rows, vector, zero_vector
 from conevol.polytope import (
-    _validate_polytope,
     centroid,
     convex_hull,
     face_dim,
@@ -135,7 +134,6 @@ def test_pulling_triangulation_matches_projected_oracle(pts):
 def elimination_certificate(p):
     """The former ``full`` certificate: each face dimension it checks is the
     rank of the face's homogenized vertex rows, one elimination per face."""
-    _validate_polytope(p, "trusted")
     n = p.dim
     everything = frozenset(range(len(p.vertices)))
     rank = face_dim(p, everything)

@@ -11,6 +11,7 @@ the scaling by D and by the apex weight is carried through every test.
 """
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction as F
 from math import factorial, gcd, lcm
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conevol.cone_measure import cone_volume, cone_volume_measure
-from conevol.errors import DegenerateInput
+from conevol.errors import DegenerateInput, TheoremViolation
 from conevol.generators import centered_simplex, cross_polytope, cube
 from conevol.kernel import (
     ONE,
@@ -33,10 +34,6 @@ from conevol.kernel import (
     zero_vector,
 )
 from conevol.polytope import (
-    Polytope,
-    VPolytope,
-    _assemble,
-    _validate_polytope,
     centroid,
     convex_hull,
     face_dim,
@@ -195,7 +192,7 @@ def test_mixed_denominator_clouds_match_fraction_oracle(raw):
         return
     p = convex_hull(raw)
     assert_matches_fraction_oracle(p)
-    rows, scale = p._vertex_rows
+    rows, scale = p.vertex_rows, p.denominator
     assert scale == lcm(*(x.denominator for v in p.vertices for x in v.coords))
     assert [vector(F(x, scale) for x in r) for r in rows] == list(p.vertices)
 
@@ -204,7 +201,7 @@ def fraction_translate(p, t):
     """The former translate: every vertex and right-hand side moved in
     Fractions, then canonicalized, with incidence derived afresh."""
     rhs = [b + a.dot(t) for a, b in zip(p.normals, p.rhs)]
-    return _assemble([q + t for q in p.vertices], p.normals, rhs, validate="trusted")
+    return from_reps([q + t for q in p.vertices], p.normals, rhs, validate="trusted")
 
 
 def translations(p):
@@ -221,8 +218,8 @@ def assert_translate_matches_fraction_path(p):
     for t in translations(p):
         q, expected = translate(p, t), fraction_translate(p, t)
         assert q == expected
-        assert q._vertex_rows == expected._vertex_rows
-        assert q._facet_rows == expected._facet_rows
+        assert (q.vertex_rows, q.denominator) == (expected.vertex_rows, expected.denominator)
+        assert q.facet_rows == expected.facet_rows
         assert q.incidence == expected.incidence
         assert q.facet_structure == expected.facet_structure
         assert (volume(q), centroid(q)) == (volume(p), centroid(p) + t)
@@ -248,11 +245,6 @@ def test_a_violating_vertex_is_rejected(name, level):
     far = p.vertices[min(p.incidence[0])] + p.normals[0].scale(F(1, 3))
     with pytest.raises(DegenerateInput, match="violates facet"):
         from_reps(list(p.vertices) + [far], p.normals, p.rhs, validate=level)
-    bad = Polytope(VPolytope(p.dim, p.vertices[:-1] + (far,)), p.h_rep, p.incidence)
-    with pytest.raises(DegenerateInput):
-        oracle_containment(bad)
-    with pytest.raises(DegenerateInput, match="violates facet"):
-        _validate_polytope(bad, level)
 
 
 @pytest.mark.parametrize("name", ["cube3", "cross4", "prism4", "grid2"])
@@ -269,32 +261,32 @@ def test_a_non_vertex_fails_the_rank_certificate(name):
 @pytest.mark.parametrize("level", ["trusted", "full"])
 @pytest.mark.parametrize("name", ["cube3", "cross3", "prism4", "grid2"])
 def test_a_wrong_incidence_table_is_rejected(name, level):
-    p = convex_hull(_shifted(NAMED[name], SHIFTS[3]))
+    # a translate carries the face lattice over only if its derived facet
+    # vertex sets are its parent's
+    hull = convex_hull(_shifted(NAMED[name], SHIFTS[3]))
+    p = from_reps(hull.vertices, hull.normals, hull.rhs, validate=level)
     for i in range(p.facet_count):
         off = min(set(range(len(p.vertices))) - p.incidence[i])
         for wrong in (p.incidence[i] - {min(p.incidence[i])}, p.incidence[i] | {off}):
             table = p.incidence[:i] + (wrong,) + p.incidence[i + 1:]
-            bad = Polytope(p.v_rep, p.h_rep, table)
+            bad = dataclasses.replace(p, incidence=table)
             with pytest.raises(DegenerateInput):
                 oracle_containment(bad)
-            with pytest.raises(DegenerateInput, match="incidence table disagrees"):
-                _validate_polytope(bad, level)
+            with pytest.raises(TheoremViolation, match="translate"):
+                translate(bad, -centroid(p))
 
 
 def test_rows_live_on_the_polytope():
     p = convex_hull(_shifted(NAMED["cube3"], SHIFTS[3]))
-    rows, scale = p._vertex_rows
-    assert scale == 42
-    assert sorted(p._facet_rows) == [
+    assert p.denominator == 42
+    assert sorted(p.facet_rows) == [
         ((-3, 0, 0), 5), ((0, -7, 0), 6), ((0, 0, -2), 1),
         ((0, 0, 2), 3), ((0, 7, 0), 8), ((3, 0, 0), 1),
     ]
-    # the rows seeded while assembling equal the ones a fresh copy derives
-    fresh = Polytope(p.v_rep, p.h_rep, p.incidence)
-    assert "_vertex_rows" not in fresh.__dict__
-    assert (fresh._vertex_rows, fresh._facet_rows) == (p._vertex_rows, p._facet_rows)
+    # the rows built from the rational views equal the hull's
+    assert from_reps(p.vertices, p.normals, p.rhs) == p
     for q in (translate_to_centroid(p), polar(translate_to_centroid(p))):
-        for (g, c), a, b in zip(q._facet_rows, q.normals, q.rhs):
+        for (g, c), a, b in zip(q.facet_rows, q.normals, q.rhs):
             assert gcd(*g, c) == 1 and vector(g) == a.scale(c / b)
 
 

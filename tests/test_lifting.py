@@ -15,12 +15,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from conevol.errors import CapExceeded, NotCentered, OriginNotInterior
+from conevol.errors import CapExceeded, NotCentered, OriginNotInterior, TheoremViolation
 from conevol.kernel import affine_hull, linear_span, rank_of_rows, vector
 from conevol.generators import GeneratorSpec, cross_polytope, cube, generate
 from conevol.polytope import centroid, convex_hull, translate, translate_to_centroid, volume
 from conevol.cone_measure import cone_volume_measure
 from conevol.concentration import enumerate_normal_flats, linear_scc
+import conevol.lifting as lifting
 from conevol.lifting import (
     build_tower,
     lift_step,
@@ -95,6 +96,18 @@ class TestPyramidLift:
         q = convex_hull([v(0, 0), v(1, 0), v(0, 1)])
         with pytest.raises(OriginNotInterior):
             pyramid_lift(q)
+
+    def test_a_wrong_closed_form_is_a_library_bug(self, monkeypatch):
+        # the closed form is built trusted; the fully certified hull catches it
+        lift_reps = lifting._lift_reps
+
+        def without_last_normal(q):
+            verts, normals = lift_reps(q)
+            return verts, normals[:-1]
+
+        monkeypatch.setattr(lifting, "_lift_reps", without_last_normal)
+        with pytest.raises(TheoremViolation):
+            pyramid_lift(cube(2))
 
     def test_trusted_path_matches_verified(self):
         # force the trusted constructor in low dimension and compare
@@ -190,6 +203,8 @@ class TestTowerBound:
             tower_bound(TRIANGLE, improper, 1)
         with pytest.raises(ValueError):
             tower_bound(TRIANGLE, affine_hull([v(1, 1, 1)]), 1)
+        with pytest.raises(TypeError, match="AffineFlat"):
+            tower_bound(cube(3), linear_span([v(1, 0, 0)], 3), 1)
 
     def test_matches_three_factor_product(self):
         # the closed form against the product it replaced, on every proper

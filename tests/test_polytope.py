@@ -186,6 +186,19 @@ class TestConversions:
         with pytest.raises(DegenerateInput):
             from_reps(p.vertices, p.normals[:2], p.rhs[:2])
 
+    @pytest.mark.parametrize("validate", ["trusted", "full"])
+    def test_from_reps_checks_its_input(self, validate):
+        p = convex_hull(TRI_VERTS)
+        verts, normals, rhs = list(p.vertices), list(p.normals), list(p.rhs)
+        with pytest.raises(ValueError, match="vertex dimension"):
+            from_reps(verts + [v(0, 0, 0)], normals, rhs, validate=validate)
+        with pytest.raises(ValueError, match="normal dimension"):
+            from_reps(verts, normals + [v(1)], rhs + [1], validate=validate)
+        with pytest.raises(DegenerateInput, match="zero normal vector"):
+            from_reps(verts, normals + [v(0, 0)], rhs + [1], validate=validate)
+        with pytest.raises(ValueError):
+            from_reps(verts, normals, rhs[:-1], validate=validate)
+
 
 class TestVolumeCentroid:
     def test_cube3(self):
