@@ -297,10 +297,8 @@ def cmd_lift(args: argparse.Namespace) -> tuple[str, int]:
                 f"{lvl.polytope.facet_count} facets, volume {lvl.volume} ({flag})"
             )
         for b in bounds:
-            lines.append(
-                f"facet {b['facet']}: weight {b['weight']} <= "
-                + " > ".join(b["levels"])
-            )
+            bound = " <= " + " > ".join(b["levels"]) if b["levels"] else ""
+            lines.append(f"facet {b['facet']}: weight {b['weight']}{bound}")
         return "\n".join(lines) + "\n", 0
     return dumps(doc), 0
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import NotCentered, TheoremViolation, TooManyFacets
+from .errors import NotCentered, OriginNotInterior, TheoremViolation, TooManyFacets
 from .kernel import (
     AffineFlat,
     LinearSubspace,
@@ -37,6 +37,7 @@ from .kernel import (
     _in_span,
     canonical_rows,
     complementary,
+    linear_span,
 )
 from .polytope import (
     Polytope,
@@ -112,9 +113,13 @@ def _check_facet_cap(p: Polytope, facet_cap: int) -> None:
         )
 
 
-def _integer_rows(vectors: Iterable[Vector], kind: type[Flat]) -> list[list[int]]:
-    """Each vector as an integer row of the flat class ``kind``."""
-    return [kind.row_of(v) for v in vectors]
+def _normal_rows(p: Polytope, kind: type[Flat]) -> list[tuple[int, ...]]:
+    """The unit-rhs normals as integer rows of the flat class ``kind``,
+    read from the primitive facet rows (g, c): g, or (g, c) for an affine
+    flat.  With the origin inside, the normal is g / c, and as (g, c) is
+    primitive the least common denominator of g / c is c, so these are the
+    rows ``kind.row_of`` makes of the normals."""
+    return [g + (c,) * kind.homogenizing for g, c in p.facet_rows]
 
 
 def _flat_members(flat: Flat, rows: Sequence[Sequence[int]]) -> frozenset[int]:
@@ -130,7 +135,7 @@ def _report(
 ) -> ConcentrationReport:
     """The report for a flat whose normal members are known.
 
-    ``rows`` are the normals as :func:`_integer_rows` of the flat's kind.
+    ``rows`` are the normals as :func:`_normal_rows` of the flat's kind.
     One bound for both kinds: the mass on the span of some normal rows is
     at most rank / row width * vol(P), that is (dim L / n) vol(P) for a
     linear subspace and ((dim A + 1) / (n + 1)) vol(P) for an affine flat.
@@ -166,7 +171,7 @@ def _report(
 
 
 def _audit(p: Polytope, flat: Flat) -> ConcentrationReport:
-    rows = _integer_rows(p.normals, type(flat))
+    rows = _normal_rows(p, type(flat))
     return _report(p, flat, _flat_members(flat, rows), cone_volume_measure(p), rows)
 
 
@@ -181,9 +186,7 @@ def linear_scc(
     """
     require_centered(p)
     if not isinstance(subspace, LinearSubspace):
-        subspace = LinearSubspace(
-            p.dim, canonical_rows(_integer_rows(subspace, LinearSubspace))
-        )
+        subspace = linear_span(list(subspace), p.dim)
     if subspace.ambient_dim != p.dim:
         raise ValueError(
             f"subspace ambient dim {subspace.ambient_dim} != polytope dim {p.dim}"
@@ -272,14 +275,17 @@ def enumerate_normal_flats(
     ranges over); passing dim also yields the full-space hull.  The flat
     count can grow like the number of normal subsets of size <= max_dim + 1,
     so capped at ``facet_cap`` facets.  Deterministic order: ascending flat
-    dimension, then member index set.
+    dimension, then member index set.  The normals are the unit-rhs ones,
+    so the origin must be strictly inside.
     """
     _check_facet_cap(p, facet_cap)
+    if not p.unit_rhs:
+        raise OriginNotInterior("normal flats need the origin strictly inside")
     if max_dim is None:
         max_dim = p.dim - 1
     if max_dim < 0:
         return []
-    rows = _integer_rows(p.normals, AffineFlat)
+    rows = _normal_rows(p, AffineFlat)
     return [AffineFlat(p.dim, canonical) for canonical, _ in _spanned_flats(rows, max_dim + 1)]
 
 
@@ -300,7 +306,7 @@ def full_audit(
     measure = cone_volume_measure(p)
     reports = []
     for kind in _KINDS:
-        rows = _integer_rows(p.normals, kind)
+        rows = _normal_rows(p, kind)
         reports += [
             _report(p, kind(p.dim, canonical), members, measure, rows)
             for canonical, members in _spanned_flats(rows, max_flat_dim + kind.homogenizing)
@@ -403,7 +409,7 @@ def equality_case_classification(p: Polytope) -> list[EqualityCase]:
     * vertex tight-normal hyperplane attains  <->  pyramid apex at the vertex
     * simple polytope, any face-derived flat  <->  simplex (equality at all)
 
-    Any one-sided failure raises TheoremViolation.
+    Any one-sided failure raises TheoremViolation naming the case kind.
 
     Every flat here is the affine hull of the normals of the facets that
     contain some face G, and its members are known without a membership
@@ -414,61 +420,47 @@ def equality_case_classification(p: Polytope) -> list[EqualityCase]:
 
     * the singleton flat of facet i has members {i} (the normals are
       distinct);
-    * a vertex v whose tight normals span a hyperplane flat, which is then
-      {y : <y, v> = 1}, has members ``p.vertex_facets[v]``;
+    * the flat of a vertex v has members ``p.vertex_facets[v]``;
     * a face flat of a simple polytope has the face's facet set as members.
+
+    The flat of a vertex v is always the hyperplane {y : <y, v> = 1}: v is
+    the only point on all of its facets, so the tight normals have rank n
+    (the ``full`` certificate checks this), and they all lie on that
+    hyperplane, which misses the origin, so their affine hull has dimension
+    n - 1 and is that hyperplane.  A vertex flat of any other dimension
+    raises TheoremViolation.
     """
     require_centered(p)
-    cases = []
     apexes = pyramid_apexes(p)
     base_facets = {base for _, base in apexes}
     apex_vertices = {v for v, _ in apexes}
-    measure = cone_volume_measure(p)
-    rows = _integer_rows(p.normals, AffineFlat)
-
-    def hull(indices: Iterable[int]) -> AffineFlat:
-        return AffineFlat(p.dim, canonical_rows([rows[i] for i in indices]))
-
-    for i in range(p.facet_count):
-        report = _report(p, hull((i,)), frozenset((i,)), measure, rows)
-        if report.equality != (i in base_facets):
-            raise TheoremViolation(
-                "facet equality does not match pyramid structure"
-            )
-        if report.equality:
-            cases.append(
-                EqualityCase(kind="pyramid_base", report=report, facet_index=i)
-            )
-
-    for v_index, tight in enumerate(p.vertex_facets):
-        flat = hull(tight)
-        if flat.dim != p.dim - 1:
-            if v_index in apex_vertices:
-                raise TheoremViolation(
-                    "apex tight normals must span a hyperplane flat"
-                )
-            continue
-        report = _report(p, flat, tight, measure, rows)
-        if report.equality != (v_index in apex_vertices):
-            raise TheoremViolation(
-                "vertex equality does not match apex structure"
-            )
-        if report.equality:
-            cases.append(
-                EqualityCase(
-                    kind="pyramid_apex", report=report, apex_index=v_index
-                )
-            )
-
+    # (kind, members, whether equality must hold, index field) in report order
+    checks = [
+        ("pyramid_base", frozenset((i,)), i in base_facets, {"facet_index": i})
+        for i in range(p.facet_count)
+    ]
+    checks += [
+        ("pyramid_apex", tight, v in apex_vertices, {"apex_index": v})
+        for v, tight in enumerate(p.vertex_facets)
+    ]
     if is_simple(p):
         simplex = len(p.vertices) == p.dim + 1
-        for facet_set in _proper_faces_of_simple(p):
-            flat = hull(facet_set)
-            report = _report(p, flat, facet_set, measure, rows)
-            if report.equality != simplex:
-                raise TheoremViolation(
-                    "face-flat equality does not match simplex structure"
-                )
-            if report.equality:
-                cases.append(EqualityCase(kind="simplex_face", report=report))
+        checks += [("simplex_face", s, simplex, {}) for s in _proper_faces_of_simple(p)]
+    measure = cone_volume_measure(p)
+    rows = _normal_rows(p, AffineFlat)
+    cases = []
+    for kind, members, expected, index in checks:
+        flat = AffineFlat(p.dim, canonical_rows([rows[i] for i in members]))
+        if kind == "pyramid_apex" and flat.dim != p.dim - 1:
+            raise TheoremViolation(
+                f"{kind}: tight normals {sorted(members)} span no hyperplane flat"
+            )
+        report = _report(p, flat, members, measure, rows)
+        if report.equality != expected:
+            raise TheoremViolation(
+                f"{kind}: equality at normals {sorted(members)} is {report.equality}, "
+                f"the polytope's structure says {expected}"
+            )
+        if report.equality:
+            cases.append(EqualityCase(kind=kind, report=report, **index))
     return cases

@@ -33,34 +33,34 @@ class ConeVolumeMeasure:
         return self.atoms[facet_index][1]
 
 
-def _require_origin_interior(p: Polytope) -> None:
-    if not p.unit_rhs:
-        raise OriginNotInterior("cone volumes need the origin strictly inside")
-
-
 def cone_volume(p: Polytope, facet_index: int) -> Fraction:
-    """Exact volume of conv({0} u F_i) via a full-dimensional triangulation:
-    the sum of |det| over the facet simplices on the polytope's integer
-    vertex rows, over n! D^n."""
-    _require_origin_interior(p)
-    rows = p.vertex_rows
-    total = sum(_abs_det([rows[j] for j in s]) for s in p.facet_structure[facet_index].simplices)
-    return Fraction(total, factorial(p.dim) * p.denominator**p.dim)
+    """Exact volume of conv({0} u F_i): the weight of facet i in
+    :func:`cone_volume_measure`."""
+    return cone_volume_measure(p).weight(facet_index)
 
 
 def cone_volume_measure(p: Polytope) -> ConeVolumeMeasure:
     """The cone-volume measure: one rational atom per facet.
 
+    Each facet cone is triangulated by the facet simplices coned at the
+    origin.  On the polytope's integer vertex rows over D, facet i sums
+    |det| over its simplices as an integer d_i; its weight is
+    d_i / (n! D^n) and the total is sum(d_i) / (n! D^n), one Fraction each.
     Computed once per polytope and kept in the instance dictionary, the way
     a ``cached_property`` is, so it lives and dies with the polytope.
     """
     measure = p.__dict__.get("_cone_volume_measure")
     if measure is None:
-        _require_origin_interior(p)
-        atoms = tuple(
-            (p.normals[i], cone_volume(p, i)) for i in range(p.facet_count)
-        )
-        measure = ConeVolumeMeasure(p.dim, atoms, sum(w for _, w in atoms))
+        if not p.unit_rhs:
+            raise OriginNotInterior("cone volumes need the origin strictly inside")
+        rows = p.vertex_rows
+        dets = [
+            sum(_abs_det([rows[j] for j in s]) for s in fs.simplices)
+            for fs in p.facet_structure
+        ]
+        scale = factorial(p.dim) * p.denominator**p.dim
+        atoms = tuple((a, Fraction(d, scale)) for a, d in zip(p.normals, dets))
+        measure = ConeVolumeMeasure(p.dim, atoms, Fraction(sum(dets), scale))
         p.__dict__["_cone_volume_measure"] = measure
     return measure
 

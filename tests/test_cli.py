@@ -53,6 +53,14 @@ class TestGen:
         assert out == ""
         assert "exceeds cap 6; raise it with --dim-cap" in err
 
+    def test_dim_cap_raises_the_cap(self, capsys):
+        code, out, _ = run_cli(
+            ["gen", "--kind", "cube", "--dim", "7", "--dim-cap", "7"], capsys=capsys
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["dim"] == 7 and len(doc["vertices"]) == 128
+
     def test_text_format(self, capsys):
         code, out, _ = run_cli(
             ["gen", "--kind", "cube", "--dim", "3", "--format", "text"], capsys=capsys
@@ -256,6 +264,16 @@ class TestLift:
         )
         assert code == 0
         assert "level 2" in out and "verified" in out
+
+    def test_zero_levels_text_has_no_bound_clause(self, capsys, monkeypatch):
+        code, out, _ = run_cli(
+            ["lift", "--levels", "0", "--format", "text"],
+            stdin=json.dumps(SEGMENT_DOC),
+            capsys=capsys,
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        assert out.splitlines()[-2:] == ["facet 0: weight 1", "facet 1: weight 1"]
 
 
 class TestWrappers:

@@ -11,17 +11,19 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
-from conevol.errors import NotCentered, TooManyFacets
+from conevol.errors import NotCentered, OriginNotInterior, TheoremViolation, TooManyFacets
 from conevol.kernel import affine_hull, linear_span, vector
 from conevol.generators import GeneratorSpec, centered_simplex, cube, generate
 from conevol.polytope import (
     convex_hull,
     face_dim,
     polar,
+    pyramid_apexes,
     translate,
     translate_to_centroid,
     volume,
@@ -193,6 +195,10 @@ class TestEnumeration:
         with pytest.raises(TooManyFacets):
             enumerate_normal_flats(tri, 1, facet_cap=2)
 
+    def test_needs_origin_interior(self):
+        with pytest.raises(OriginNotInterior):
+            enumerate_normal_flats(convex_hull([v(0, 0), v(1, 0), v(0, 1)]))
+
 
 class TestFullAudit:
     def test_triangle_slacks(self):
@@ -311,6 +317,56 @@ class TestEqualityClassification:
         prism = convex_hull(pts)
         assert is_simple(prism)
         assert equality_case_classification(prism) == []
+
+
+def make_square_pyramid():
+    return translate_to_centroid(
+        convex_hull([v(1, 1, 0), v(1, -1, 0), v(-1, 1, 0), v(-1, -1, 0), v(0, 0, 1)])
+    )
+
+
+class TestClassificationChecks:
+    """Each characterization is checked in both directions: on the centered
+    square pyramid, a structure that disagrees with the bound raises,
+    naming the case kind and the flat's normals.  A vertex flat that is not
+    a hyperplane raises too."""
+
+    @staticmethod
+    def assert_raises(p, kind, members):
+        message = f"{kind}: equality at normals {sorted(members)}"
+        with pytest.raises(TheoremViolation, match=re.escape(message)):
+            equality_case_classification(p)
+
+    def test_missing_pyramid_raises_on_the_base_facet(self, monkeypatch):
+        p = make_square_pyramid()
+        ((_, base),) = pyramid_apexes(p)
+        monkeypatch.setattr(concentration, "pyramid_apexes", lambda q: ())
+        self.assert_raises(p, "pyramid_base", {base})
+
+    def test_fake_apex_raises_on_that_vertex(self, monkeypatch):
+        p = make_square_pyramid()
+        ((apex, base),) = pyramid_apexes(p)
+        fake = min(p.incidence[base])
+        monkeypatch.setattr(
+            concentration, "pyramid_apexes", lambda q: ((apex, base), (fake, base))
+        )
+        self.assert_raises(p, "pyramid_apex", p.vertex_facets[fake])
+
+    def test_simple_claim_raises_on_the_base_face(self, monkeypatch):
+        p = make_square_pyramid()
+        ((_, base),) = pyramid_apexes(p)
+        monkeypatch.setattr(concentration, "is_simple", lambda q: True)
+        self.assert_raises(p, "simplex_face", {base})
+
+    def test_vertex_flat_below_a_hyperplane_raises(self):
+        # drop one tight facet of a cube vertex from the cached table: its
+        # two remaining normals span a line, not the hyperplane flat
+        p = make_cube3()
+        tight = sorted(p.vertex_facets[0])[:2]
+        p.__dict__["vertex_facets"] = (frozenset(tight),) + p.vertex_facets[1:]
+        message = f"pyramid_apex: tight normals {tight} span no hyperplane flat"
+        with pytest.raises(TheoremViolation, match=re.escape(message)):
+            equality_case_classification(p)
 
 
 def subset_scan_faces_of_simple(p):

@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conevol.concentration import (
-    _integer_rows,
     _spanned_flats,
     affine_scc,
     detect_join_structure,
@@ -130,7 +129,7 @@ def point_sets(draw):
 def test_spanned_flats_match_subset_scan(pts, affine):
     n = pts[0].dim
     kind = AffineFlat if affine else LinearSubspace
-    rows = _integer_rows(pts, kind)
+    rows = [kind.row_of(q) for q in pts]
     for max_dim in range(n + 1):
         spans = _spanned_flats(rows, max_dim + affine)
         walk = [(kind(n, canonical), members) for canonical, members in spans]
