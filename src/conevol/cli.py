@@ -26,7 +26,7 @@ from .concentration import (
     full_audit,
 )
 from .cone_measure import cone_volume_measure
-from .errors import GeometryError, NotCentered, TheoremViolation
+from .errors import DegenerateInput, GeometryError, NotCentered, TheoremViolation
 from .generators import KINDS, GeneratorSpec, generate
 from .jsonio import (
     dumps,
@@ -167,6 +167,11 @@ def _load_polytope(args: argparse.Namespace) -> tuple[Polytope, dict[str, Any]]:
         "sha256": hashlib.sha256(raw).hexdigest(),
     }
     if isinstance(doc, dict) and isinstance(doc.get("generator"), dict):
+        # echoed as it came, so it must be writable: a float is not
+        try:
+            dumps(doc["generator"])
+        except TypeError as exc:
+            raise DegenerateInput(f"generator block: {exc}") from exc
         echo["generator"] = doc["generator"]
     return p, echo
 

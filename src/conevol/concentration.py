@@ -34,6 +34,7 @@ from .kernel import (
     LinearSubspace,
     Vector,
     _eliminate,
+    _extend,
     _in_span,
     canonical_rows,
     complementary,
@@ -142,11 +143,19 @@ def _report(
     On equality the witness is the span of the remaining rows when it is
     complementary to the flat; for a linear subspace that witness is
     decisive, for an affine flat it is an attempt.
+
+    The sums run on the measure's integer weights over its common scale:
+    with mass the members' sum and whole the sum of all, equality is
+    ``width * mass == rank * whole``, and lhs, rhs and slack are one
+    Fraction each.
     """
-    lhs = sum((measure.weight(i) for i in members), Fraction(0))
-    rhs = Fraction(len(flat.rows), flat.width) * measure.total
+    dets = measure.dets
+    mass = sum(map(dets.__getitem__, members))
+    whole = sum(dets)
+    rank, width, scale = len(flat.rows), flat.width, measure.scale
+    equality = width * mass == rank * whole
     witness = None
-    if lhs == rhs:
+    if equality:
         # the homogenized normals span R^(n+1), so a proper affine flat
         # leaves some normal out and its complement has rows
         rest = [row for i, row in enumerate(rows) if i not in members]
@@ -162,10 +171,10 @@ def _report(
         flat=flat,
         flat_dim=flat.dim,
         member_indices=members,
-        lhs=lhs,
-        rhs=rhs,
-        slack=rhs - lhs,
-        equality=lhs == rhs,
+        lhs=Fraction(mass, scale),
+        rhs=Fraction(rank * whole, width * scale),
+        slack=Fraction(rank * whole - width * mass, width * scale),
+        equality=equality,
         witness=witness,
     )
 
@@ -186,7 +195,11 @@ def linear_scc(
     """
     require_centered(p)
     if not isinstance(subspace, LinearSubspace):
-        subspace = linear_span(list(subspace), p.dim)
+        vectors = list(subspace)
+        for i, x in enumerate(vectors):
+            if x.dim != p.dim:
+                raise ValueError(f"vector {i} has dimension {x.dim}, the polytope {p.dim}")
+        subspace = linear_span(vectors, p.dim)
     if subspace.ambient_dim != p.dim:
         raise ValueError(
             f"subspace ambient dim {subspace.ambient_dim} != polytope dim {p.dim}"
@@ -223,11 +236,12 @@ def _spanned_flats(
       it is outside the span of those kept), and neither is any superset;
       the span is reached from its greedy basis instead.
 
-    The canonical rows are built once per span, from the rows of its basis.
+    The canonical rows travel down the walk: a child's are its parent's
+    extended by row j, one :func:`~conevol.kernel._extend` pass.
     """
     count = len(rows)
     everyone = frozenset(range(count))
-    found: list[tuple[frozenset[int], tuple[int, ...]]] = []
+    found: list[tuple[frozenset[int], tuple[tuple[int, ...], ...]]] = []
 
     def zero_columns(table: list[list[int]]) -> frozenset[int]:
         if not table:
@@ -235,12 +249,13 @@ def _spanned_flats(
         return frozenset(x for x, col in enumerate(zip(*table)) if not any(col))
 
     def walk(
-        basis: tuple[int, ...],
+        last: int,
+        canonical: tuple[tuple[int, ...], ...],
         members: frozenset[int],
         table: list[list[int]],
         prev: int,
     ) -> None:
-        for j in range(basis[-1] + 1 if basis else 0, count):
+        for j in range(last + 1, count):
             if j in members:
                 continue
             r = next(i for i, row in enumerate(table) if row[j])
@@ -248,9 +263,10 @@ def _spanned_flats(
             grown = zero_columns(child)
             if min(grown - members) < j:
                 continue
-            found.append((grown, basis + (j,)))
-            if len(basis) + 1 < max_size:
-                walk(basis + (j,), grown, child, table[r][j])
+            extended = _extend(canonical, rows[j])
+            found.append((grown, extended))
+            if len(extended) < max_size:
+                walk(j, extended, grown, child, table[r][j])
 
     if max_size > 0:
         table = [list(col) for col in zip(*rows)]
@@ -258,9 +274,9 @@ def _spanned_flats(
         if zeros:
             # zero rows (never homogenized ones) span the zero subspace
             found.append((zeros, ()))
-        walk((), zeros, table, 1)
+        walk(-1, (), zeros, table, 1)
     found.sort(key=lambda pair: (len(pair[1]), tuple(sorted(pair[0]))))
-    return [(canonical_rows([rows[i] for i in basis]), members) for members, basis in found]
+    return [(canonical, members) for members, canonical in found]
 
 
 def enumerate_normal_flats(

@@ -23,11 +23,16 @@ class ConeVolumeMeasure:
 
     The total equals the polytope volume exactly (pyramid decomposition);
     :func:`pyramid_formula_check` re-derives both sides independently.
+    The same weights over one common denominator: facet i weighs
+    ``dets[i] / scale``, with integer ``dets`` and ``scale``, so a sum of
+    weights is an integer sum and one Fraction.
     """
 
     dim: int
     atoms: tuple[tuple[Vector, Fraction], ...]
     total: Fraction
+    dets: tuple[int, ...]
+    scale: int
 
     def weight(self, facet_index: int) -> Fraction:
         return self.atoms[facet_index][1]
@@ -45,7 +50,8 @@ def cone_volume_measure(p: Polytope) -> ConeVolumeMeasure:
     Each facet cone is triangulated by the facet simplices coned at the
     origin.  On the polytope's integer vertex rows over D, facet i sums
     |det| over its simplices as an integer d_i; its weight is
-    d_i / (n! D^n) and the total is sum(d_i) / (n! D^n), one Fraction each.
+    d_i / (n! D^n) and the total is sum(d_i) / (n! D^n), one Fraction each;
+    the measure keeps the d_i and the scale n! D^n as well.
     Computed once per polytope and kept in the instance dictionary, the way
     a ``cached_property`` is, so it lives and dies with the polytope.
     """
@@ -54,13 +60,13 @@ def cone_volume_measure(p: Polytope) -> ConeVolumeMeasure:
         if not p.unit_rhs:
             raise OriginNotInterior("cone volumes need the origin strictly inside")
         rows = p.vertex_rows
-        dets = [
+        dets = tuple(
             sum(_abs_det([rows[j] for j in s]) for s in fs.simplices)
             for fs in p.facet_structure
-        ]
+        )
         scale = factorial(p.dim) * p.denominator**p.dim
         atoms = tuple((a, Fraction(d, scale)) for a, d in zip(p.normals, dets))
-        measure = ConeVolumeMeasure(p.dim, atoms, Fraction(sum(dets), scale))
+        measure = ConeVolumeMeasure(p.dim, atoms, Fraction(sum(dets), scale), dets, scale)
         p.__dict__["_cone_volume_measure"] = measure
     return measure
 

@@ -17,6 +17,7 @@ ignored on input and never produced on output, except the optional
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _encode_str
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
@@ -180,8 +181,61 @@ def tower_to_json(t: LiftTower) -> dict[str, Any]:
 
 
 def dumps(doc: Any) -> str:
-    """Stable rendering: insertion-ordered keys, 2-space indent, newline."""
-    return json.dumps(doc, indent=2) + "\n"
+    """Stable rendering: insertion-ordered keys, 2-space indent, newline.
+
+    The bytes are those of ``json.dumps(doc, indent=2) + "\n"``, written
+    directly: ``indent`` would send ``json.dumps`` to its pure-Python
+    encoder, which is slower.  Strings are ASCII-escaped as ``json`` does,
+    ints are written with ``int.__repr__``, and empty containers as ``{}``
+    and ``[]``.  A document holds only dicts with str keys, lists, tuples,
+    str, int, bool and None; anything else, floats included, raises
+    TypeError.
+    """
+    out: list[str] = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value: Any, newline: str, out: list[str]) -> None:
+    """Append ``value`` to ``out``, with ``newline`` (a newline and the
+    current indent) before each closing bracket."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _encode_str(key) + ": ")
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def loads(text: str | bytes) -> Any:

@@ -11,9 +11,10 @@ need:
   integer rows, one Bareiss step (:func:`_eliminate`) per pivot, each
   dividing exactly by the pivot before it.  Rational rows are scaled once
   to integer rows first; rows that are integers already go in as they are.
-  Rank, determinants, canonical forms (reduced row echelon rows, each as a
-  primitive integer row) and membership tests all read from it; a Fraction
-  is made only for a result, at the end,
+  Rank, determinants and canonical forms (reduced row echelon rows, each
+  as a primitive integer row) read from it; a Fraction is made only for a
+  result, at the end.  Membership and the extension of a canonical form by
+  one row reduce that row against the form's pivots (:func:`_reduce`),
 * one span type: a linear subspace of R^n spans rows of width n, an
   affine flat ``A`` is the linear span of its points ``(a, 1)``, rows of
   width n + 1.  Both kinds share membership, ``dim``, ``basis`` and one
@@ -225,9 +226,58 @@ def canonical_rows(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]
     return tuple(canonical)
 
 
+def _pivot(row: Sequence[int]) -> int:
+    """The column of the first nonzero entry of a nonzero row."""
+    return row.index(next(filter(None, row)))
+
+
+def _clear(row: Sequence[int], top: Sequence[int], c: int) -> list[int]:
+    """``row`` with column ``c`` cleared by ``top``, whose entry there is
+    positive: ``top[c] * row - row[c] * top``, a positive multiple of
+    ``row`` minus a multiple of ``top``."""
+    a, b = top[c], row[c]
+    return [a * y - b * z for y, z in zip(row, top)]
+
+
+def _reduce(rows: Sequence[Sequence[int]], row: Sequence[int]) -> Sequence[int]:
+    """The integer row reduced against canonical rows (:func:`canonical_rows`):
+    zero in every pivot column of ``rows``, and a positive multiple of
+    ``row`` minus a combination of ``rows``.  It is zero iff ``row`` lies
+    in their span."""
+    for top in rows:
+        c = _pivot(top)
+        if row[c]:
+            row = _clear(row, top, c)
+    return row
+
+
+def _primitive_row(row: Sequence[int]) -> tuple[int, ...]:
+    """The nonzero integer row over the gcd of its entries, signed so that
+    its pivot entry is positive."""
+    g = gcd(*row)
+    if next(filter(None, row)) < 0:
+        g = -g
+    return tuple([x // g for x in row])
+
+
+def _extend(rows: Sequence[tuple[int, ...]], row: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The canonical rows of the span of canonical ``rows`` and one integer
+    ``row`` outside it, in one pass: reduce the row against the pivots of
+    ``rows`` and make it primitive with a positive pivot, clear its pivot
+    column from ``rows`` and make them primitive again, and order the rows
+    by pivot column.  The result is the unique scaled reduced row echelon
+    form of the span, so it equals :func:`canonical_rows` of all the rows.
+    """
+    new = _primitive_row(_reduce(rows, row))
+    c = _pivot(new)
+    out = [_primitive_row(_clear(top, new, c)) if top[c] else top for top in rows]
+    out.insert(sum(_pivot(top) < c for top in rows), new)
+    return tuple(out)
+
+
 def _in_span(rows: Sequence[Sequence[int]], row: Sequence[int]) -> bool:
-    """True iff the integer row lies in the span of the independent rows."""
-    return _echelon([*rows, row])[1] == len(rows)
+    """True iff the integer row lies in the span of the canonical rows."""
+    return not any(_reduce(rows, row))
 
 
 @dataclass(frozen=True)

@@ -188,14 +188,26 @@ def tower_bound(p: Polytope, flat: AffineFlat, j: int) -> Fraction:
     in closed form, with vol(level j) = ((n+j+1)/(n+1)) * vol(P), as one
     exact fraction.  It decreases strictly in j toward the affine bound
     (d+1)/(n+1) * vol(P).
+
+    The bound reads the flat only through d, so after the checks, which run
+    on every call, it is computed once per (d, j) and kept in the instance
+    dictionary, the way :func:`~conevol.cone_measure.cone_volume_measure`
+    keeps the measure: it lives and dies with the polytope.
     """
     require_centered(p)
     require_proper_flat(p, flat)
     if j < 1:
         raise ValueError("need at least one lift")
-    n = p.dim
-    vol = volume(p)
-    return Fraction(
-        (flat.dim + 1) * (n + j + 1) * vol.numerator,
-        (n + j) * (n + 1) * vol.denominator,
-    )
+    bounds = p.__dict__.get("_tower_bounds")
+    if bounds is None:
+        bounds = p.__dict__["_tower_bounds"] = {}
+    key = (flat.dim, j)
+    bound = bounds.get(key)
+    if bound is None:
+        n = p.dim
+        vol = volume(p)
+        bound = bounds[key] = Fraction(
+            (flat.dim + 1) * (n + j + 1) * vol.numerator,
+            (n + j) * (n + 1) * vol.denominator,
+        )
+    return bound

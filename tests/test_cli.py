@@ -89,6 +89,18 @@ class TestAudit:
         assert doc["seed"] == 0
         assert doc["polytope"]["volume"]["exact"] == "3/2"
 
+    def test_generator_echo_is_passed_through_or_refused(self, capsys, monkeypatch):
+        echo = {"kind": "x", "seed": -(10**30), "notes": ["é", None, True, {}]}
+        doc = dict(SEGMENT_DOC, generator=echo)
+        code, out, _ = run_cli(["audit"], stdin=json.dumps(doc), capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 0
+        assert json.loads(out)["input"]["generator"] == echo
+        # the writer has no floats, so a float in the echo is bad input
+        doc = dict(SEGMENT_DOC, generator={"scale": 0.5})
+        code, out, err = run_cli(["audit"], stdin=json.dumps(doc), capsys=capsys, monkeypatch=monkeypatch)
+        assert (code, out) == (2, "")
+        assert "generator block" in err and "float" in err
+
     def test_not_centered_exit_4(self, capsys, monkeypatch):
         code, out, err = run_cli(
             ["audit"], stdin=json.dumps(OFFCENTER_DOC), capsys=capsys, monkeypatch=monkeypatch

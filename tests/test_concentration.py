@@ -42,6 +42,7 @@ from conevol.concentration import (
     join_detection_roundtrip,
     linear_scc,
 )
+from test_flat_enumeration import gate_corpus
 
 
 def v(*xs):
@@ -109,6 +110,11 @@ class TestLinear:
         p = translate(make_square(), v(F(1, 3), 0))
         with pytest.raises(NotCentered):
             linear_scc(p, [v(1, 0)])
+
+    def test_vector_of_another_dimension_is_named(self):
+        message = "vector 1 has dimension 3, the polytope 2"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            linear_scc(make_square(), [v(0, 1), v(1, 0, 0)])
 
 
 class TestAffine:
@@ -469,3 +475,26 @@ def test_measure_cache_consistency():
     assert cone_volume_measure(tri) is cone_volume_measure(tri)
     rebuilt = convex_hull([v(1, 0), v(0, 1), v(-1, -1)])
     assert cone_volume_measure(rebuilt).total == F(3, 2)
+
+
+def fraction_report(p, flat, members):
+    """(lhs, rhs, slack, equality) in the Fraction arithmetic _report used
+    before it read the measure's integer weights."""
+    measure = cone_volume_measure(p)
+    lhs = sum((measure.weight(i) for i in members), F(0))
+    rhs = F(len(flat.rows), flat.width) * measure.total
+    return lhs, rhs, rhs - lhs, lhs == rhs
+
+
+def test_integer_sums_match_fraction_sums():
+    # every report of both kinds on the gate's corpus, plus the equality
+    # cases, against the Fraction sums of the weights
+    reports = 0
+    equalities = 0
+    for p in gate_corpus():
+        found = full_audit(p, facet_cap=16) + [c.report for c in equality_case_classification(p)]
+        for r in found:
+            assert (r.lhs, r.rhs, r.slack, r.equality) == fraction_report(p, r.flat, r.member_indices)
+            equalities += r.equality
+        reports += len(found)
+    assert reports > 80000 and equalities > 400

@@ -5,7 +5,9 @@ reduced row echelon form of ``test_kernel``: one reduced form for every
 index subset of size at most max_dim + 1 (affine) or max_dim (linear), m
 membership tests per distinct flat, and a dedupe keyed on the member set.
 Each walk flat's ``basis``, its member set and their order must agree
-exactly with the oracle's.
+exactly with the oracle's.  The walk builds each flat's canonical rows from
+its parent's, one row at a time; ``kernel.canonical_rows`` of the member
+rows, a whole elimination, is their oracle on the gate's corpus.
 
 ``oracle_join_structure`` is the former join detection on that
 enumeration: every vertex-spanned proper flat whose members and the rest
@@ -14,6 +16,7 @@ the face lattice.
 """
 from __future__ import annotations
 
+import functools
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -21,14 +24,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conevol.concentration import (
+    _normal_rows,
     _spanned_flats,
     affine_scc,
     detect_join_structure,
     full_audit,
     linear_scc,
 )
-from conevol.generators import GeneratorSpec, centered_simplex, cross_polytope, cube, generate
-from conevol.kernel import AffineFlat, LinearSubspace, Vector, vector
+from conevol.generators import (
+    GeneratorSpec,
+    centered_simplex,
+    cross_polytope,
+    cube,
+    generate,
+    random_centered,
+)
+from conevol.kernel import AffineFlat, LinearSubspace, Vector, canonical_rows, vector
 from conevol.polytope import VPolytope, convex_hull, polar, translate_to_centroid
 from test_kernel import oracle_in_span, oracle_rref
 
@@ -183,3 +194,30 @@ def test_full_audit_equals_public_audits(make):
         affine_scc(p, r.flat) if r.kind == "affine" else linear_scc(p, r.flat)
         for r in reports
     ]
+
+
+@functools.cache
+def gate_corpus():
+    """The acceptance gate's corpus: cubes 1-4, cross-polytopes 2-4,
+    simplices 2-4, prisms over simplices in dimensions 3-4 and 200 seeded
+    random centered polytopes in each dimension 2-4 (12, 8 and 6 points);
+    plus the 5-cube."""
+    shapes = [cube(1)]
+    for n in (2, 3, 4):
+        shapes += [cube(n), cross_polytope(n), centered_simplex(n)]
+    shapes += [_prism(3), _prism(4), cube(5)]
+    shapes += [random_centered(n, m, seed) for n, m in ((2, 12), (3, 8), (4, 6)) for seed in range(200)]
+    return tuple(shapes)
+
+
+def test_incremental_canonical_rows_match_elimination():
+    # every flat of both kinds, the whole space included: the rows the walk
+    # carries down equal the canonical form of all the flat's member rows
+    flats = 0
+    for p in gate_corpus():
+        for kind in (AffineFlat, LinearSubspace):
+            rows = _normal_rows(p, kind)
+            for canonical, members in _spanned_flats(rows, p.dim + kind.homogenizing):
+                assert canonical == canonical_rows([rows[i] for i in sorted(members)])
+                flats += 1
+    assert flats > 80000

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conevol.cli import main
 from conevol.errors import DegenerateInput, GeometryError, Unbounded
@@ -177,6 +177,44 @@ class TestStructures:
         json.dumps(doc)
 
 
+# strings with non-ASCII, control, quote, backslash and line-separator
+# characters; ints past 64 bits either way
+JSON_STRINGS = st.text(
+    st.one_of(st.characters(), st.sampled_from('\x00\x1f\x7f"\\/\n\t\u2028\u00e9\U0001f600'))
+)
+JSON_LEAVES = st.one_of(
+    JSON_STRINGS, st.integers(), st.integers(-(10**40), 10**40), st.booleans(), st.none()
+)
+JSON_DOCS = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.dictionaries(JSON_STRINGS, children),
+    ),
+    max_leaves=20,
+)
+
+
+class TestWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(JSON_DOCS)
+    @example({"a": [], "b": {}, "c": [[], {}, [[{}]]], "": {"": []}})
+    @example([])
+    @example({})
+    @example("\x00\u00e9\ud800")
+    def test_same_bytes_as_json_dumps_indent_2(self, doc):
+        assert dumps(doc) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "doc",
+        [1.5, [0.0], {"a": {"b": [2.5]}}, {1: "x"}, {None: 1}, {"a": {True: 1}}, {"a": object()}],
+    )
+    def test_other_types_raise_type_error(self, doc):
+        with pytest.raises(TypeError):
+            dumps(doc)
+
+
 # rationals that parse, and literals that must be refused fast: malformed,
 # exponent notation, and digit strings past Python's int-conversion limit
 GOOD_LITERALS = st.one_of(
@@ -220,7 +258,9 @@ def test_fuzzed_documents_build_or_raise_input_errors(doc):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    st.one_of(polytope_documents().map(dumps), st.text(max_size=20), st.just("1" * 5000)),
+    # json.dumps, not the library's writer, which refuses the floats among
+    # the bad literals
+    st.one_of(polytope_documents().map(json.dumps), st.text(max_size=20), st.just("1" * 5000)),
     st.sampled_from(["polar", "ispyramid"]),
 )
 def test_fuzzed_cli_input_exits_0_or_2(text, command):

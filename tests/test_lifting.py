@@ -217,6 +217,32 @@ class TestTowerBound:
                     expected = F(flat.dim + 1, n + j) * F(n + j + 1, n + 1) * volume(p)
                     assert tower_bound(p, flat, j) == expected
 
+    def test_memoised_bounds_equal_the_closed_form_and_still_check(self):
+        p = convex_hull([v(3, 0, 0), v(0, 3, 0), v(0, 0, 3), v(-1, -1, -1), v(-1, -1, 2)])
+        p = translate_to_centroid(p)
+        n, vol = p.dim, volume(p)
+        flats = enumerate_normal_flats(p)
+        assert {flat.dim for flat in flats} == {0, 1, 2}
+        for _ in range(2):  # the second pass reads every bound from the memo
+            for flat in flats:
+                for j in range(1, 41):
+                    closed = F((flat.dim + 1) * (n + j + 1), (n + j) * (n + 1)) * vol
+                    assert tower_bound(p, flat, j) == closed
+        assert len(p.__dict__["_tower_bounds"]) == 3 * 40
+        # a flat of another ambient dimension has a memoised (dim, j) key
+        with pytest.raises(ValueError, match="ambient dim"):
+            tower_bound(p, affine_hull([v(1, 1)]), 1)
+        # with a bound planted under its key, the whole space is still refused
+        whole = affine_hull([v(1, 0, 0), v(0, 1, 0), v(0, 0, 1), v(0, 0, 0)])
+        p.__dict__["_tower_bounds"][whole.dim, 1] = F(1)
+        with pytest.raises(ValueError, match="proper"):
+            tower_bound(p, whole, 1)
+        # an off-center polytope holding every key still raises
+        off = translate(p, v(1, 0, 0))
+        off.__dict__["_tower_bounds"] = dict(p.__dict__["_tower_bounds"])
+        with pytest.raises(NotCentered):
+            tower_bound(off, flats[0], 1)
+
     def test_centered_cached_for_the_polytope_lifetime(self):
         p = convex_hull([v(2, 0), v(0, 2), v(-2, -2)])
         # (d+1)/(n+j) * (n+j+1)/(n+1) * vol = 1/3 * 4/3 * 6
