@@ -10,6 +10,10 @@ rational and in closed form: facet normals, volume scaling, and the cone
 weights of the lifted facets, which are preserved exactly.  Iterating the
 lift yields a tower whose linear concentration bounds decrease strictly to
 the affine bound of the base, which is what :func:`tower_bound` evaluates.
+
+Each lift is built from its parent's integer rows and its facets are
+certified by the pyramid lemma at every level, with no hull; up to a
+dimension cap the tower also re-derives volume, centroid and cone weights.
 """
 from __future__ import annotations
 
@@ -17,13 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceeded, OriginNotInterior, TheoremViolation
-from .kernel import ONE, ZERO, AffineFlat, Vector, unit_vector
-from .polytope import (
-    Polytope,
-    convex_hull,
-    from_reps,
-    volume,
-)
+from .kernel import AffineFlat, Vector
+from .polytope import Polytope, _assemble, _facet_row, volume
 from .cone_measure import cone_volume_measure
 from .concentration import require_centered, require_proper_flat
 
@@ -63,42 +62,43 @@ def lifted_normal(a: Vector, j: int) -> Vector:
     return Vector(tuple(s * c for c in a.coords) + tail)
 
 
-def _lift_reps(q: Polytope) -> tuple[list[Vector], list[Vector]]:
-    k = q.dim
-    apex = Vector((ZERO,) * k + (Fraction(-(k + 1)),))
-    verts = [Vector(v.coords + (ONE,)) for v in q.vertices] + [apex]
-    normals = [lift_step(k, a) for a in q.normals] + [unit_vector(k + 1, k)]
-    return verts, normals
+def pyramid_lift(q: Polytope) -> Polytope:
+    """The lift of ``q``, one dimension up, built from its integer rows.
 
-
-def pyramid_lift(
-    q: Polytope, *, verify_dim_cap: int = DEFAULT_VERIFY_DIM_CAP
-) -> Polytope:
-    """The lift of ``q``, one dimension up.
-
-    Representations are written from the closed form and built at the
-    ``trusted`` level (containment and incidence).  Up to ambient dimension
-    ``verify_dim_cap`` the facets are re-derived independently by the hull
-    oracle, which runs the ``full`` certificate, and must agree; above the
-    cap, the closed form is trusted.  Output is centered iff the input is.
+    The vertex rows V_j over D of ``q`` become (V_j, D), plus the apex
+    (0, ..., 0, -(k+1) D); each facet row (g, c) becomes the side facet
+    ((k+2) g, -c) . x <= (k+1) c, plus the base facet x_{k+1} <= 1.  It is
+    built ``trusted`` and certified by the pyramid lemma: the derived
+    incidence must be one facet on every base vertex and, for each facet of
+    ``q``, one on its vertices and the apex, else :class:`TheoremViolation`.
+    The apex lies strictly below the base hyperplane, so for a certified
+    ``q`` this proves the facet list complete.  Centered iff ``q`` is.
     """
     if not q.unit_rhs:
-        raise OriginNotInterior(
-            "closed-form lift facets need the origin strictly inside"
-        )
-    verts, normals = _lift_reps(q)
-    predicted = from_reps(verts, normals, [ONE] * len(normals), validate="trusted")
-    if q.dim + 1 <= verify_dim_cap:
-        if convex_hull(verts) != predicted:
-            raise TheoremViolation("hull of the lift disagrees with closed form")
-    return predicted
+        raise OriginNotInterior("closed-form lift facets need the origin strictly inside")
+    k, d = q.dim, q.denominator
+    apex = (0,) * k + (-(k + 1) * d,)
+    p = _assemble(
+        [row + (d,) for row in q.vertex_rows] + [apex],
+        d,
+        [_facet_row([(k + 2) * x for x in g] + [-c, (k + 1) * c]) for g, c in q.facet_rows]
+        + [((0,) * k + (1,), 1)],
+        validate="trusted",
+    )
+    # appending D keeps the order of the base rows; the apex sorts among them
+    a = p.vertex_rows.index(apex)
+    base = [j + (j >= a) for j in range(len(q.vertex_rows))]
+    pattern = {frozenset(base)} | {frozenset([a, *(base[j] for j in tight)]) for tight in q.incidence}
+    if set(p.incidence) != pattern:
+        raise TheoremViolation("the lift's facets are not those of a pyramid over its base")
+    return p
 
 
 @dataclass(frozen=True)
 class TowerLevel:
-    """One tower floor: the polytope, its exact volume, and whether the
-    geometric invariants were re-verified (low dimensions) or the closed
-    form was trusted (above the verification cap)."""
+    """One tower floor: the polytope (facets certified), its exact volume,
+    and whether volume, centroid and cone weights were re-derived (up to the
+    verification cap) or taken from the closed form (above it)."""
 
     level: int
     polytope: Polytope
@@ -130,11 +130,11 @@ def build_tower(
     """Lift ``p`` through ``j_max`` levels, checking every exact invariant
     the current dimension makes affordable.
 
-    At verified levels (ambient dim <= ``verify_dim_cap``): facet normals
-    re-derived by the hull oracle, volume equal to (n+j+1)/(n+1) vol(P),
-    centroid exactly 0, lifted cone weights equal to base cone weights.  At
-    every level, trusted ones included: the side normals reached by stepwise
-    lifting equal the closed form.
+    At every level: facets certified by :func:`pyramid_lift`, and the side
+    normals reached by stepwise lifting equal to the closed form.  At
+    verified levels (ambient dim <= ``verify_dim_cap``) also: volume equal
+    to (n+j+1)/(n+1) vol(P), centroid exactly 0, lifted cone weights equal
+    to base cone weights, each re-derived from the triangulation.
     """
     require_centered(p)
     if j_max < 0:
@@ -151,7 +151,7 @@ def build_tower(
     lifted: list[tuple[Vector, ...]] = [tuple(p.normals)]
     current = p
     for j in range(1, j_max + 1):
-        current = pyramid_lift(current, verify_dim_cap=verify_dim_cap)
+        current = pyramid_lift(current)
         closed = tuple(lifted_normal(a, j) for a in p.normals)
         if not set(closed) <= set(current.normals):
             raise TheoremViolation("stepwise lift disagrees with closed form")

@@ -23,11 +23,11 @@ input with positive right-hand sides goes through polarity: the hull of the
 scaled normals, read back through :func:`polar`.
 
 Every polytope is built by one constructor, :func:`_assemble`, from rows:
-a hull from its extreme points and double-description facets, a translate
-and a polar from the rows of their parent.  Incidence, validation, the rank
-certificates, volume, centroid and cone volumes all run on those rows
-through the kernel's one fraction-free elimination; each result becomes a
-Fraction once, at the end.
+a hull from its extreme points and double-description facets; a translate,
+a polar and a pyramid lift (:mod:`conevol.lifting`) from the rows of their
+parent.  Incidence, validation, the rank certificates, volume, centroid and
+cone volumes all run on those rows through the kernel's one fraction-free
+elimination; each result becomes a Fraction once, at the end.
 
 Every face below a facet is read from the incidence table alone: the facets
 of a face are the inclusion-maximal nonempty intersections of its vertex

@@ -204,8 +204,8 @@ def test_c03_linear_slack_and_cube_equalities(audited):
 
 
 def test_c04_lift_closed_form(randoms):
-    # Exact closed-form checks cover the whole corpus, and the independent
-    # hull re-derivation inside the lift runs on every base.
+    # Exact closed-form checks cover the whole corpus, and the lift of every
+    # base certifies its facets by the pyramid lemma.
     bases = [cube(1)]
     for n in (2, 3, 4):
         bases += [cube(n), cross_polytope(n), centered_simplex(n), *randoms[n]]

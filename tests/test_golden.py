@@ -56,6 +56,7 @@ CASES: dict[str, tuple[str, list[str]]] = {
         if name != "cube_1"
     },
     "lift_cube_1": ("gen:cube_1", ["lift", "--levels", "3"]),
+    "lift_cube_3": ("gen:cube_3", ["lift", "--levels", "5"]),
     "polar_cube_3": ("gen:cube_3", ["polar"]),
     "audit_facet_form_cube_3": (FACET_FORM_DOC, ["audit"]),
     **{

@@ -4,7 +4,8 @@ The lift of [-1,1] is the triangle conv{(-1,1),(1,1),(0,-2)}; its facet
 normals were re-derived by hand from vertex pairs before freezing.  Volume
 scaling, centroid preservation, and cone-weight preservation are checked
 against the independent hull/triangulation machinery, not the closed forms
-under test.
+under test, and the hull of the lifted vertices re-derives every lift up to
+dimension 6 as an oracle.
 """
 from __future__ import annotations
 
@@ -17,8 +18,8 @@ import pytest
 
 from conevol.errors import CapExceeded, NotCentered, OriginNotInterior, TheoremViolation
 from conevol.kernel import affine_hull, linear_span, rank_of_rows, vector
-from conevol.generators import GeneratorSpec, cross_polytope, cube, generate
-from conevol.polytope import centroid, convex_hull, translate, translate_to_centroid, volume
+from conevol.generators import GeneratorSpec, centered_simplex, cross_polytope, cube, generate
+from conevol.polytope import _facet_row, centroid, convex_hull, translate, translate_to_centroid, volume
 from conevol.cone_measure import cone_volume_measure
 from conevol.concentration import enumerate_normal_flats, linear_scc
 import conevol.lifting as lifting
@@ -75,6 +76,12 @@ class TestLiftedNormal:
             lifted_normal(v(1, 0), 0)
 
 
+@pytest.fixture(scope="module")
+def segment_level_7():
+    # dimension 8: its lift, level 8, lies above the verification cap
+    return build_tower(SEGMENT, 7).levels[7].polytope
+
+
 class TestPyramidLift:
     def test_segment_frozen(self):
         p = pyramid_lift(SEGMENT)
@@ -97,23 +104,70 @@ class TestPyramidLift:
         with pytest.raises(OriginNotInterior):
             pyramid_lift(q)
 
-    def test_a_wrong_closed_form_is_a_library_bug(self, monkeypatch):
-        # the closed form is built trusted; the fully certified hull catches it
-        lift_reps = lifting._lift_reps
+    def test_a_wrong_closed_form_is_a_library_bug(self, monkeypatch, segment_level_7):
+        # the closed form is built trusted; the pyramid lemma catches a
+        # missing facet row at level 1 and above the verification cap
+        for edit in (lambda rows: rows[1:], lambda rows: rows[:-1]):  # a side row, the base row
+            for q in (SEGMENT, segment_level_7):
+                with pytest.raises(TheoremViolation):
+                    _lift_with_edited_rows(monkeypatch, q, edit)
 
-        def without_last_normal(q):
-            verts, normals = lift_reps(q)
-            return verts, normals[:-1]
+    def test_a_side_facet_off_the_apex_is_a_library_bug(self, monkeypatch, segment_level_7):
+        # a raised right-hand side keeps containment, but its tight set
+        # loses the apex
+        def raise_first_side(rows):
+            (g, c), *rest = rows
+            return [_facet_row(list(g) + [c + 1]), *rest]
 
-        monkeypatch.setattr(lifting, "_lift_reps", without_last_normal)
-        with pytest.raises(TheoremViolation):
-            pyramid_lift(cube(2))
+        for q in (SEGMENT, segment_level_7):
+            with pytest.raises(TheoremViolation):
+                _lift_with_edited_rows(monkeypatch, q, raise_first_side)
 
-    def test_trusted_path_matches_verified(self):
-        # force the trusted constructor in low dimension and compare
-        trusted = pyramid_lift(TRIANGLE, verify_dim_cap=0)
-        checked = pyramid_lift(TRIANGLE, verify_dim_cap=5)
-        assert trusted == checked
+
+def _lift_with_edited_rows(monkeypatch, q, edit):
+    """``pyramid_lift(q)`` with ``edit`` applied to the closed-form facet
+    rows (the side rows in the order of the facets of ``q``, then the base
+    row) before they are assembled."""
+    assemble = lifting._assemble
+
+    def edited(vertex_rows, denominator, facet_rows, **kw):
+        return assemble(vertex_rows, denominator, edit(list(facet_rows)), **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(lifting, "_assemble", edited)
+        return pyramid_lift(q)
+
+
+def _prism():
+    return convex_hull([v(*x.coords, h) for x in TRIANGLE.vertices for h in (-1, 1)])
+
+
+ORACLE_CORPUS = {
+    **{f"cube-{n}": lambda n=n: cube(n) for n in (1, 2, 3)},
+    **{f"cross-{n}": lambda n=n: cross_polytope(n) for n in (2, 3)},
+    **{f"simplex-{n}": lambda n=n: centered_simplex(n) for n in (1, 2, 3)},
+    **{
+        f"random-{n}-{s}": lambda n=n, s=s: generate(GeneratorSpec("random", n, seed=s))
+        for n in (2, 3, 4)
+        for s in (1, 2, 3)
+    },
+    "prism-3": _prism,
+    "pyramid_over-3": lambda: generate(GeneratorSpec("pyramid_over", 3, seed=1)),
+    "join-3": lambda: generate(GeneratorSpec("join", 3, seed=1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CORPUS))
+def test_lift_matches_the_hull_of_the_lifted_vertices(name):
+    # the hull oracle re-derives every level up to dimension 6 from the
+    # lifted vertices alone, with its full certificate
+    q = ORACLE_CORPUS[name]()
+    while q.dim < 6:
+        k = q.dim
+        points = [v(*x.coords, 1) for x in q.vertices] + [v(*[0] * k, -(k + 1))]
+        lifted = pyramid_lift(q)
+        assert lifted == convex_hull(points)
+        q = lifted
 
 
 class TestTower:
@@ -144,7 +198,8 @@ class TestTower:
         assert top.polytope.dim == 9
         assert top.volume == 10
         assert top.polytope.facet_count == SEGMENT.facet_count + 8
-        # trusted reps still satisfy containment exactly
+        # above the cap volume, centroid and weights are not re-derived, but
+        # the facets are certified by the pyramid lemma and contain every vertex
         for a, b in zip(top.polytope.normals, top.polytope.rhs):
             assert all(a.dot(x) <= b for x in top.polytope.vertices)
 
