@@ -7,14 +7,15 @@ need:
 
 * ``Vector`` / ``Matrix`` value types (immutable, hashable, lexicographically
   ordered),
-* one exact elimination engine: fraction-free Gauss-Jordan elimination on
-  integer rows, one Bareiss step (:func:`_eliminate`) per pivot, each
-  dividing exactly by the pivot before it.  Rational rows are scaled once
-  to integer rows first; rows that are integers already go in as they are.
-  Rank, determinants and canonical forms (reduced row echelon rows, each
-  as a primitive integer row) read from it; a Fraction is made only for a
-  result, at the end.  Membership and the extension of a canonical form by
-  one row reduce that row against the form's pivots (:func:`_reduce`),
+* one exact elimination engine: fraction-free (Bareiss) elimination on
+  integer rows, each step dividing exactly by the pivot before it.
+  Rational rows are scaled once to integer rows first; rows that are
+  integers already go in as they are.  Rank and determinants read from one
+  forward-only pass in place (:func:`_forward`); canonical forms (reduced
+  row echelon rows, each as a primitive integer row) from a Gauss-Jordan
+  pass (:func:`_echelon`).  A Fraction is made only for a result, at the
+  end.  Membership and the extension of a canonical form by one row
+  reduce that row against the form's pivots (:func:`_reduce`),
 * one span type: a linear subspace of R^n spans rows of width n, an
   affine flat ``A`` is the linear span of its points ``(a, 1)``, rows of
   width n + 1.  Both kinds share membership, ``dim``, ``basis`` and one
@@ -151,23 +152,57 @@ def _eliminate(rows: Iterable[list[int]], top: list[int], c: int, prev: int) -> 
     return [[(pivot * x - row[c] * y) // prev for x, y in zip(row, top)] for row in rows]
 
 
-def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int, list[int], int, int]:
-    """Fraction-free Gauss-Jordan elimination of integer rows.
+def _forward(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Forward-only fraction-free elimination (Bareiss, Math. Comp. 1968)
+    on one copy of the integer rows, updated in place: each pivot row is
+    swapped up (flipping the sign), and each row below it is updated over
+    the later columns as ``(pivot * x - row[c] * top[k]) // prev``.  Rows
+    with a zero in the pivot column are scaled too, so every division is
+    exact.  Returns (rank, sign * last pivot), which is the determinant
+    when the matrix is square and of full rank; callers check the rank.
+    """
+    work = [list(row) for row in rows]
+    m = len(work)
+    width = len(work[0]) if work else 0
+    sign, prev, r = 1, 1, 0
+    for c in range(width):
+        i = r
+        while i < m and not work[i][c]:
+            i += 1
+        if i == m:
+            continue
+        if i != r:
+            work[r], work[i] = work[i], work[r]
+            sign = -sign
+        top = work[r]
+        pivot = top[c]
+        for row in work[r + 1 :]:
+            x = row[c]
+            for k in range(c + 1, width):
+                row[k] = (pivot * row[k] - x * top[k]) // prev
+        prev = pivot
+        r += 1
+        if r == m:
+            break
+    return r, sign * prev
+
+
+def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int, list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, for callers
+    that read the reduced rows or the pivot columns.
 
     Rational rows are scaled to integer rows by the caller
     (:func:`_scaled`), which keeps the row span; every step is
     :func:`_eliminate`.  At the end each pivot entry equals the last pivot
     d, so the first rank rows are d times the reduced row echelon form and
-    the rows past the rank are zero; for a square matrix of full rank d is
-    the determinant of the rows after the row swaps.
-    Returns (rows, rank, pivot column indices, d, number of row swaps).
+    the rows past the rank are zero.
+    Returns (rows, rank, pivot column indices, d).
     Pivot choice is the first nonzero entry in column order, which makes the
     output canonical for a given row span.
     """
     work = list(rows)
     pivots: list[int] = []
     prev = 1
-    swaps = 0
     r = 0
     for c in range(len(work[0]) if work else 0):
         if r == len(work):
@@ -177,14 +212,13 @@ def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int, list[
             continue
         if pivot_row != r:
             work[r], work[pivot_row] = work[pivot_row], work[r]
-            swaps += 1
         top = work[r]
         rest = _eliminate(work[:r] + work[r + 1 :], top, c, prev)
         work = rest[:r] + [top] + rest[r:]
         prev = top[c]
         pivots.append(c)
         r += 1
-    return work, r, pivots, prev, swaps
+    return work, r, pivots, prev
 
 
 def _scaled(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
@@ -192,21 +226,20 @@ def _scaled(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
 
 
 def rank_of_rows(rows: Sequence[Sequence[Fraction]]) -> int:
-    return _echelon(_scaled(rows))[1]
+    return _forward(_scaled(rows))[0]
 
 
 def determinant(m: Matrix) -> Fraction:
-    """Exact determinant from the fraction-free elimination: the last pivot
-    d of the integer rows, signed by the row swaps, over the product of the
-    row scales."""
+    """Exact determinant from the forward pass (:func:`_forward`) on the
+    integer rows: its last pivot, signed by the row swaps, over the product
+    of the row scales."""
     n = m.nrows
     if n == 0 or m.ncols != n:
         raise ValueError(f"determinant needs a nonempty square matrix, got {m.nrows}x{m.ncols}")
-    _, rank, _, d, swaps = _echelon(_scaled([row.coords for row in m.rows]))
+    rank, d = _forward(_scaled([row.coords for row in m.rows]))
     if rank < n:
         return ZERO
-    denom = prod(_denominator_lcm(row.coords) for row in m.rows)
-    return Fraction(-d if swaps % 2 else d, denom)
+    return Fraction(d, prod(_denominator_lcm(row.coords) for row in m.rows))
 
 
 def canonical_rows(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -217,7 +250,7 @@ def canonical_rows(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]
     :func:`_echelon` leaves each row as d times its reduced row, so the row
     over its gcd, signed like d, is that multiple; no Fraction is made.
     """
-    work, rank, _, d, _ = _echelon(rows)
+    work, rank, _, d = _echelon(rows)
     sign = 1 if d > 0 else -1
     canonical = []
     for row in work[:rank]:
@@ -370,4 +403,4 @@ def complementary(a: _Span, b: _Span) -> bool:
     if type(a) is not type(b) or a.ambient_dim != b.ambient_dim:
         raise ValueError("complementary needs two flats of one kind in one ambient space")
     width = a.width
-    return len(a.rows) + len(b.rows) == width and _echelon(a.rows + b.rows)[1] == width
+    return len(a.rows) + len(b.rows) == width and _forward(a.rows + b.rows)[0] == width

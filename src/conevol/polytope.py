@@ -27,7 +27,9 @@ a hull from its extreme points and double-description facets; a translate,
 a polar and a pyramid lift (:mod:`conevol.lifting`) from the rows of their
 parent.  Incidence, validation, the rank certificates, volume, centroid and
 cone volumes all run on those rows through the kernel's one fraction-free
-elimination; each result becomes a Fraction once, at the end.
+elimination: ranks and determinants through its forward pass, the hull's
+starting simplex through its Gauss-Jordan pass.  Each result becomes a
+Fraction once, at the end.
 
 Every face below a facet is read from the incidence table alone: the facets
 of a face are the inclusion-maximal nonempty intersections of its vertex
@@ -70,6 +72,7 @@ from .kernel import (
     ZERO,
     Vector,
     _echelon,
+    _forward,
     affine_hull,
     complementary,
     integer_row,
@@ -360,7 +363,7 @@ def _validate_polytope(p: Polytope) -> None:
     if rank != n:
         raise DegenerateInput(f"affine rank {rank} < ambient dimension {n}")
     for j, tight_facets in enumerate(p.vertex_facets):
-        if _echelon([p.facet_rows[i][0] for i in tight_facets])[1] != n:
+        if _forward([p.facet_rows[i][0] for i in tight_facets])[0] != n:
             raise DegenerateInput(f"point {p.vertices[j].coords} is not a vertex (tight rank < {n})")
     chains: dict[frozenset[int], int] = {}
     for i, tight in enumerate(p.incidence):
@@ -426,8 +429,9 @@ def _certify_facet_list(
 
 
 def _abs_det(rows: list[Sequence[int]]) -> int:
-    """|det| of a square integer matrix, read from the kernel's elimination."""
-    _, rank, _, d, _ = _echelon(rows)
+    """|det| of a square integer matrix, read from the kernel's forward pass:
+    its last pivot if the rank is full, else 0."""
+    rank, d = _forward(rows)
     return abs(d) if rank == len(rows) else 0
 
 
@@ -510,11 +514,11 @@ def _supporting_halfspaces(pts: Sequence[Vector]) -> dict[tuple[int, ...], froze
     """
     n = pts[0].dim
     rows = [integer_row(p.coords + (ONE,)) for p in pts]
-    _, rank, simplex, _, _ = _echelon(list(zip(*rows)))
+    _, rank, simplex, _ = _echelon(list(zip(*rows)))
     if rank != n + 1:
         raise DegenerateInput(f"affine rank {rank - 1} < ambient dimension {n}")
     # the facets are the columns of -inverse(simplex rows); _echelon leaves d * inverse
-    inverse, _, _, d, _ = _echelon([rows[i] + [int(i == k) for k in simplex] for i in simplex])
+    inverse, _, _, d = _echelon([rows[i] + [int(i == k) for k in simplex] for i in simplex])
     facets = {
         _primitive([-d * row[n + 1 + col] for row in inverse]): frozenset(simplex) - {i}
         for col, i in enumerate(simplex)
@@ -708,7 +712,7 @@ def polar(p: Polytope) -> Polytope:
 def face_dim(p: Polytope, vertex_indices: Iterable[int]) -> int:
     """Dimension of the affine hull of the given vertices."""
     rows, scale = p.vertex_rows, p.denominator
-    return _echelon([rows[i] + (scale,) for i in vertex_indices])[1] - 1
+    return _forward([rows[i] + (scale,) for i in vertex_indices])[0] - 1
 
 
 def section_profile_q(p: Polytope, u: Vector, t: Fraction | int) -> Fraction:

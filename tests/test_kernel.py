@@ -4,8 +4,11 @@ Expected values are frozen from independent oracles implemented here
 (cofactor determinants, an affine-combination feasibility solver), never
 from the functions under test.  The kernel's former Fraction engines, a
 Gauss-Jordan reduced row echelon form and a forward Bareiss determinant,
-are kept here as the oracles of a differential test of the fraction-free
-engine that replaced them.
+are kept here as the oracles of a differential test of both passes of the
+fraction-free engine that replaced them: the Gauss-Jordan pass behind the
+canonical forms, and the in-place forward pass behind every rank and
+determinant (``rank_of_rows``, ``complementary``, ``determinant`` and the
+polytope layer's ``_abs_det``).
 """
 from __future__ import annotations
 
@@ -32,6 +35,7 @@ from conevol.kernel import (
     unit_vector,
     vector,
 )
+from conevol.polytope import _abs_det
 
 QQ = Fraction
 
@@ -411,6 +415,27 @@ def rational_matrices(draw, *, square: bool = False) -> list[list[Fraction]]:
 
 ZERO_3X4 = [[QQ(0)] * 4 for _ in range(3)]
 REPEATED = [[QQ(1, 2), QQ(-3), QQ(2, 3)], [QQ(1, 2), QQ(-3), QQ(2, 3)], [QQ(0), QQ(5, 4), QQ(1)]]
+# after the first step the second column is zero from the second row on,
+# so the second pivot comes from a swap; the third row, zero in the first
+# column, must still be scaled by the first pivot, 2
+SWAP_AT_SECOND_STEP = [
+    [QQ(2), QQ(4), QQ(0), QQ(1)],
+    [QQ(4), QQ(8), QQ(1, 3), QQ(0)],
+    [QQ(0), QQ(1, 2), QQ(3), QQ(1)],
+    [QQ(1), QQ(0), QQ(1), QQ(-2)],
+]
+# a zero middle column the pivots skip, and a repeated row
+ZERO_MIDDLE_3X5 = [
+    [QQ(1, 2), QQ(-1), QQ(0), QQ(2), QQ(3)],
+    [QQ(0), QQ(3), QQ(0), QQ(-1, 4), QQ(1)],
+    [QQ(1, 2), QQ(-1), QQ(0), QQ(2), QQ(3)],
+]
+BIG = 10**24
+DIGITS_25 = [
+    [QQ(BIG + 7), QQ(-3 * BIG + 1), QQ(2 * BIG - 5, 3)],
+    [QQ(5 * BIG - 11), QQ(BIG + 13, 7), QQ(-BIG - 2)],
+    [QQ(-4 * BIG + 3), QQ(9 * BIG - 1), QQ(6 * BIG + 17)],
+]
 
 
 class TestEngineAgainstFractionOracle:
@@ -421,6 +446,8 @@ class TestEngineAgainstFractionOracle:
     @example([[QQ(-3, 4)]], [QQ(1)] * 6)
     @example(ZERO_3X4, [QQ(1, 3)] + [QQ(0)] * 5)
     @example(REPEATED, [QQ(1), QQ(-6), QQ(4, 3), QQ(0), QQ(0), QQ(0)])
+    @example(ZERO_MIDDLE_3X5, [QQ(1), QQ(2), QQ(0), QQ(7, 4), QQ(4), QQ(0)])
+    @example(DIGITS_25, [QQ(BIG), QQ(1), QQ(-BIG, 3), QQ(0), QQ(0), QQ(0)])
     @settings(max_examples=200)
     def test_reductions_and_membership(self, rows, extra):
         ncols = len(rows[0])
@@ -455,10 +482,16 @@ class TestEngineAgainstFractionOracle:
     @example([[QQ(7, 3)]], list(range(5)))
     @example([[QQ(0)] * 3 for _ in range(3)], [2, 1, 0, 3, 4])
     @example(REPEATED, [1, 0, 2, 3, 4])
+    @example(SWAP_AT_SECOND_STEP, [0, 1, 2, 3, 4])
+    @example(SWAP_AT_SECOND_STEP, [3, 2, 1, 0, 4])
+    @example(DIGITS_25, [2, 0, 1, 3, 4])
     @settings(max_examples=200)
     def test_square_systems_and_swap_parity(self, rows, shuffle):
         n = len(rows)
         assert determinant(matrix(rows)) == oracle_determinant(rows)
+        scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
+        scaled = [[int(x * k) for x in row] for row, k in zip(rows, scales)]
+        assert _abs_det(scaled) == abs(oracle_determinant(rows)) * math.prod(scales)
         # a permutation of range(5) restricted to range(n) is one of range(n)
         order = [i for i in shuffle if i < n]
         permuted = [rows[i] for i in order]

@@ -17,12 +17,15 @@ from conevol.errors import (
     DegenerateInput,
     NotComplementary,
     OriginNotInterior,
+    TheoremViolation,
     Unbounded,
 )
 from conevol.kernel import Vector, vector, unit_vector
 from conevol.polytope import (
     HPolytope,
     VPolytope,
+    _abs_det,
+    _FacetStructure,
     centroid,
     contains_point,
     convex_hull,
@@ -226,6 +229,18 @@ class TestVolumeCentroid:
         q = convex_hull([pt.scale(F(3, 2)) for pt in TRI_VERTS])
         assert volume(q) == F(3, 2) ** 2 * volume(p)
         assert centroid(q).is_zero()
+
+    def test_abs_det_checks_the_rank(self):
+        # the last pivot of these rank-2 rows is 1; only the rank says 0
+        assert _abs_det([(1, 0, 0), (0, 1, 0), (1, 1, 0)]) == 0
+        assert _abs_det([(0, 2, 0), (3, 0, 0), (0, 0, -1)]) == 6
+
+    def test_a_flat_simplex_is_a_library_bug(self):
+        p = cube(2)
+        first, *rest = p.facet_structure
+        p.__dict__["facet_structure"] = (_FacetStructure(((first.simplices[0][0],) * 2,)), *rest)
+        with pytest.raises(TheoremViolation, match="flat simplex"):
+            volume(p)
 
 
 class TestContainment:
