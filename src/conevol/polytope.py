@@ -8,7 +8,8 @@ A :class:`Polytope` is its integer rows and its incidence table:
 * ``facet_rows``: every facet <g_i, x> <= c_i as its primitive integer row
   (g_i, c_i), in canonical order (:func:`_canonical_facets`),
 * ``incidence``: for each facet, the set of vertex indices lying on it, that
-  is the j with g_i . V_j == c_i D.
+  is the j with g_i . V_j == c_i D; the same pass stores it once more as
+  int bit masks (bit j for vertex row j), which all face-lattice work reads.
 
 The rational views are derived from the rows once, on first use: the
 vertices V_j / D, and the facets, normalized to ``<a_i, x> <= 1`` when every
@@ -17,8 +18,9 @@ otherwise (this happens e.g. for hulls taken before recentering, where the
 origin may sit on the boundary).
 
 Everything is exact.  Facets of a hull are found by the double description
-method on integer rows: points are inserted one at a time, and each new
-facet combines an adjacent pair of facets the point splits.  Facet-form
+method on integer rows and bit-mask tight sets: points are inserted one at
+a time, and each new facet combines an adjacent pair of facets the point
+splits.  Facet-form
 input with positive right-hand sides goes through polarity: the hull of the
 scaled normals, read back through :func:`polar`.
 
@@ -31,13 +33,14 @@ elimination: ranks and determinants through its forward pass, the hull's
 starting simplex through its Gauss-Jordan pass.  Each result becomes a
 Fraction once, at the end.
 
-Every face below a facet is read from the incidence table alone: the facets
-of a face are the inclusion-maximal nonempty intersections of its vertex
-set with the facets of the polytope that do not contain it.  This face
-lattice is memoised on the polytope and carries the ``full`` completeness
-certificate, the walk over every proper face that join detection reads,
-and the pulling triangulation: a face is coned from its smallest vertex
-index over the triangulations of its facets that miss that vertex.  Volume
+Every face below a facet is a bit mask read from the incidence masks alone:
+the facets of a face are the inclusion-maximal nonempty intersections of
+its mask with the facet masks that do not contain it.  This face lattice is
+memoised on the polytope by mask and carries the ``full`` completeness
+certificate, the walk over every proper face that join detection reads
+(as frozensets, made once at its end), and the pulling triangulation: a
+face is coned from its lowest set bit over the triangulations of its
+facets that miss that vertex.  Volume
 and centroid cone the facet simplices at an interior point (the vertex
 average); cone volumes at the origin reuse the same facet simplices.
 
@@ -196,66 +199,77 @@ class Polytope:
     @cached_property
     def vertex_facets(self) -> tuple[frozenset[int], ...]:
         """For each vertex index, the set of facet indices containing it."""
-        table: list[set[int]] = [set() for _ in self.vertices]
-        for i, tight in enumerate(self.incidence):
-            for v in tight:
-                table[v].add(i)
-        return tuple(frozenset(s) for s in table)
+        masks = list(enumerate(self._masks))
+        return tuple(frozenset(i for i, t in masks if t >> j & 1) for j in range(len(self.vertex_rows)))
 
     @cached_property
-    def _facet_lists(self) -> dict[frozenset[int], tuple[frozenset[int], ...]]:
+    def _masks(self) -> tuple[int, ...]:
+        """``incidence`` as bit masks, bit j for vertex row j; set by :func:`_assemble`."""
+        return tuple(sum(1 << j for j in tight) for tight in self.incidence)
+
+    @cached_property
+    def _facet_lists(self) -> dict[int, tuple[int, ...]]:
         return {}
 
     @cached_property
-    def _triangulations(self) -> dict[frozenset[int], tuple[tuple[int, ...], ...]]:
+    def _triangulations(self) -> dict[int, tuple[tuple[int, ...], ...]]:
         return {}
 
-    def _facets_of(self, face: frozenset[int]) -> tuple[frozenset[int], ...]:
-        """The facets of a face, read from the incidence table: the
-        inclusion-maximal nonempty sets ``face & F`` over the facets F of
-        the polytope that do not contain the face."""
+    def _facets_of(self, face: int) -> tuple[int, ...]:
+        """The facets of a face mask: the inclusion-maximal nonempty cuts
+        ``face & T`` over the facet masks T that do not contain it, kept in
+        descending order.  A cut's supersets are larger integers, so a cut
+        is kept unless a cut kept before it contains it."""
         memo = self._facet_lists
         if face not in memo:
-            cuts = {face & tight for tight in self.incidence if not face <= tight}
-            cuts.discard(frozenset())
-            memo[face] = tuple(c for c in cuts if not any(c < d for d in cuts))
+            kept: list[int] = []
+            for c in sorted(set(map(face.__and__, self._masks)) - {face, 0}, reverse=True):
+                for k in kept:
+                    if c & k == c:
+                        break
+                else:
+                    kept.append(c)
+            memo[face] = tuple(kept)
         return memo[face]
 
     @cached_property
     def _faces(self) -> frozenset[frozenset[int]]:
         """Every nonempty proper face as a vertex index set, vertices
         included, walked down the face lattice from the whole vertex set."""
-        faces: set[frozenset[int]] = set()
-        stack = [frozenset(range(len(self.vertices)))]
+        faces: set[int] = set()
+        stack = [(1 << len(self.vertex_rows)) - 1]
         while stack:
             for g in self._facets_of(stack.pop()):
                 if g not in faces:
                     faces.add(g)
-                    if len(g) > 1:
+                    if g & (g - 1):
                         stack.append(g)
-        return frozenset(faces)
+        return frozenset(frozenset(_members(g)) for g in faces)
 
-    def _triangulate(self, face: frozenset[int]) -> tuple[tuple[int, ...], ...]:
-        """Pulling triangulation of a face: its smallest vertex index coned
+    def _triangulate(self, face: int) -> tuple[tuple[int, ...], ...]:
+        """Pulling triangulation of a face mask: its lowest set bit coned
         over the triangulations of its facets that miss it (pulled last)."""
         memo = self._triangulations
         if face not in memo:
-            apex = min(face)
-            memo[face] = ((apex,),) if len(face) == 1 else tuple(
-                s + (apex,)
-                for g in self._facets_of(face)
-                if apex not in g
-                for s in self._triangulate(g)
+            low = face & -face
+            apex = low.bit_length() - 1
+            memo[face] = ((apex,),) if face == low else tuple(
+                s + (apex,) for g in self._facets_of(face) if not g & low for s in self._triangulate(g)
             )
         return memo[face]
 
     @cached_property
     def facet_structure(self) -> tuple[_FacetStructure, ...]:
-        return tuple(_FacetStructure(self._triangulate(f)) for f in self.incidence)
+        return tuple(_FacetStructure(self._triangulate(f)) for f in self._masks)
 
     @cached_property
     def _volume_centroid(self) -> tuple[Fraction, Vector]:
         return _volume_centroid_coned(self, None)
+
+
+def _members(mask: int) -> list[int]:
+    """The vertex indices of a face mask, ascending."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
 def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
@@ -307,7 +321,8 @@ def _assemble(
     The vertex rows are put over their least common denominator D,
     deduplicated and sorted; the facet rows are deduplicated and put in
     canonical order (:func:`_canonical_facets`).  One pass over g . V_j
-    against c D derives incidence and rejects a vertex outside a facet.
+    against c D derives incidence, as index sets and as bit masks, and
+    rejects a vertex outside a facet.
     That is all ``trusted`` checks, for constructions proven complete (a
     translate, a polar, a closed-form lift); it accepts an incomplete facet
     list, and the volume read from it is then wrong without an error (the
@@ -324,18 +339,21 @@ def _assemble(
     if len(rows) < n + 1:
         raise DegenerateInput(f"{len(rows)} vertices cannot span dimension {n}")
     facets = _canonical_facets(facet_rows)
-    incidence = []
+    incidence, masks = [], []
     for g, c in facets:
-        bound, tight = c * scale, []
+        bound, tight, mask = c * scale, [], 0
         for j, v in enumerate(rows):
             d = sum(map(mul, g, v))
             if d == bound:
                 tight.append(j)
+                mask |= 1 << j
             elif d > bound:
                 point = tuple(Fraction(x, scale) for x in v)
                 raise DegenerateInput(f"vertex {point} violates facet {g} . x <= {c}")
         incidence.append(frozenset(tight))
+        masks.append(mask)
     p = Polytope(tuple(rows), scale, facets, tuple(incidence))
+    p.__dict__["_masks"] = tuple(masks)
     if validate == "full":
         _validate_polytope(p)
     return p
@@ -357,23 +375,22 @@ def _validate_polytope(p: Polytope) -> None:
     dim T_i <= n - 1; hence ``_chain(T_i) == n - 1`` certifies that T_i is
     a facet.
     """
-    n = p.dim
-    everything = frozenset(range(len(p.vertex_rows)))
-    rank = face_dim(p, everything)
+    n, m = p.dim, len(p.vertex_rows)
+    rank = face_dim(p, range(m))
     if rank != n:
         raise DegenerateInput(f"affine rank {rank} < ambient dimension {n}")
     for j, tight_facets in enumerate(p.vertex_facets):
         if _forward([p.facet_rows[i][0] for i in tight_facets])[0] != n:
             raise DegenerateInput(f"point {p.vertices[j].coords} is not a vertex (tight rank < {n})")
-    chains: dict[frozenset[int], int] = {}
-    for i, tight in enumerate(p.incidence):
+    chains: dict[int, int] = {}
+    for i, tight in enumerate(p._masks):
         if _chain(p, tight, chains) != n - 1:
             raise DegenerateInput(f"halfspace {i} does not support a facet")
-    _certify_facet_list(p, everything, n, chains, set())
+    _certify_facet_list(p, (1 << m) - 1, n, chains, set())
 
 
-def _chain(p: Polytope, face: frozenset[int], chains: dict[frozenset[int], int]) -> int:
-    """The length of the longest chain of listed facets from a vertex set
+def _chain(p: Polytope, face: int, chains: dict[int, int]) -> int:
+    """The length of the longest chain of listed facets from a vertex mask
     down to a single vertex: -1 for no vertex, 0 for one, else one more than
     the longest chain of its listed facets (:meth:`Polytope._facets_of`).
 
@@ -386,23 +403,23 @@ def _chain(p: Polytope, face: frozenset[int], chains: dict[frozenset[int], int])
     certification.
     """
     if face not in chains:
-        chains[face] = len(face) - 1 if len(face) < 2 else 1 + max(
+        chains[face] = face.bit_count() - 1 if not face & (face - 1) else 1 + max(
             (_chain(p, g, chains) for g in p._facets_of(face)), default=0
         )
     return chains[face]
 
 
-def _certify_facet_list(
-    p: Polytope, face: frozenset[int], dim: int, chains: dict[frozenset[int], int], done: set
-) -> None:
-    """Certify that the facet list read for ``face`` (a genuine face of
-    dimension ``dim``) is complete, by induction on dimension.
+def _certify_facet_list(p: Polytope, face: int, dim: int, chains: dict[int, int], done: set) -> None:
+    """Certify that the facet list read for the mask ``face`` (a genuine
+    face of dimension ``dim``) is complete, by induction on dimension.
 
     Every listed facet must have dimension ``dim - 1``; an edge must have
     exactly two endpoints; above that, once the facet lists of its facets
     are certified, every ridge of the face must lie in exactly two of its
     listed facets.  The dual graph of a face is connected, so a missing
-    facet would leave some ridge with a single listed owner.
+    facet would leave some ridge with a single listed owner.  Facets and
+    ridges are checked in descending mask order, so an error names the
+    first failing face in that fixed order.
 
     No dimension here needs an elimination.  A listed facet g = F & T_k
     of the face F misses a vertex of F, which lies off the hyperplane H_k,
@@ -415,16 +432,16 @@ def _certify_facet_list(
     facets = p._facets_of(face)
     if dim == 1:
         if len(facets) != 2:
-            raise DegenerateInput(f"edge {sorted(face)} has {len(facets)} endpoints, expected 2")
+            raise DegenerateInput(f"edge {_members(face)} has {len(facets)} endpoints, expected 2")
     else:
         for g in facets:
             if _chain(p, g, chains) != dim - 1:
-                raise DegenerateInput(f"face {sorted(g)} is not a facet of face {sorted(face)}")
+                raise DegenerateInput(f"face {_members(g)} is not a facet of face {_members(face)}")
             _certify_facet_list(p, g, dim - 1, chains, done)
-        for ridge in {r for g in facets for r in p._facets_of(g)}:
-            owners = sum(1 for g in facets if ridge <= g)
+        for ridge in sorted({r for g in facets for r in p._facets_of(g)}, reverse=True):
+            owners = [*map(ridge.__and__, facets)].count(ridge)
             if owners != 2:
-                raise DegenerateInput(f"ridge {sorted(ridge)} lies in {owners} facets, expected 2")
+                raise DegenerateInput(f"ridge {_members(ridge)} lies in {owners} facets, expected 2")
     done.add(face)
 
 
@@ -499,18 +516,19 @@ def contains_point(p: Polytope, x: Vector, *, strict: bool = False) -> bool:
     return True
 
 
-def _supporting_halfspaces(pts: Sequence[Vector]) -> dict[tuple[int, ...], frozenset[int]]:
+def _supporting_halfspaces(pts: Sequence[Vector]) -> dict[tuple[int, ...], int]:
     """The facets of conv(pts) by the double description method (Motzkin,
     Raiffa, Thompson and Thrall, 1953; Fukuda and Prodon, 1996).
 
     A facet is a primitive integer row h with h . p <= 0 on every point
-    homogenized to an integer row p = (x, 1); it maps to the indices of the
-    inserted points tight on it.  The hull starts as the simplex on n + 1
-    affinely independent points, each facet oriented away from the point it
-    omits.  A further point p replaces its visible facets f (f . p > 0) by
-    (f . p) g - (g . p) f for each adjacent invisible g: the two share at
-    least n - 1 tight points, and no third facet contains them all.  Tight
-    and interior points only join tight sets.
+    homogenized to an integer row p = (x, 1); it maps to the bit mask of
+    the inserted points tight on it (bit j for point j).  The hull starts
+    as the simplex on n + 1 affinely independent points, each facet
+    oriented away from the point it omits.  A further point p replaces its
+    visible facets f (f . p > 0) by (f . p) g - (g . p) f for each adjacent
+    invisible g: their common mask has at least n - 1 bits, and no third
+    live mask t has ``common & t == common``.  Tight and interior points
+    only join tight sets.
     """
     n = pts[0].dim
     rows = [integer_row(p.coords + (ONE,)) for p in pts]
@@ -520,25 +538,25 @@ def _supporting_halfspaces(pts: Sequence[Vector]) -> dict[tuple[int, ...], froze
     # the facets are the columns of -inverse(simplex rows); _echelon leaves d * inverse
     inverse, _, _, d = _echelon([rows[i] + [int(i == k) for k in simplex] for i in simplex])
     facets = {
-        _primitive([-d * row[n + 1 + col] for row in inverse]): frozenset(simplex) - {i}
+        _primitive([-d * row[n + 1 + col] for row in inverse]): sum(1 << k for k in simplex if k != i)
         for col, i in enumerate(simplex)
     }
     for j in sorted(set(range(len(rows))) - set(simplex)):
         side = {h: sum(map(mul, h, rows[j])) for h in facets}
         visible = [h for h, s in side.items() if s > 0]
         hidden = [h for h, s in side.items() if s < 0]
-        new = {}
+        live, shared = [*facets.values()], [facets[g] for g in hidden]
+        new, bit = {}, 1 << j
         for f in visible:
-            for g in hidden:
-                common = facets[f] & facets[g]
-                if len(common) >= n - 1 and sum(common <= t for t in facets.values()) == 2:
+            for g, common in zip(hidden, map(facets[f].__and__, shared)):
+                if common.bit_count() >= n - 1 and [*map(common.__and__, live)].count(common) == 2:
                     h = _primitive([side[f] * b - side[g] * a for a, b in zip(f, g)])
-                    new[h] = common | {j}
+                    new[h] = common | bit
         for h, s in side.items():
             if s > 0:
                 del facets[h]
             elif s == 0:
-                facets[h] |= {j}
+                facets[h] |= bit
         facets.update(new)
         if len(facets) > _HULL_FACET_CAP:
             raise CapExceeded(f"hull has {len(facets)} facets, above the cap {_HULL_FACET_CAP}")
@@ -580,11 +598,11 @@ def convex_hull(
     _check_dim_cap(n, dim_cap)
     facets = _supporting_halfspaces(pts)
     # a point is a vertex iff the facets through it meet in that point alone
-    meet = [frozenset(range(len(pts)))] * len(pts)
+    meet = [(1 << len(pts)) - 1] * len(pts)
     for tight in facets.values():
-        for j in tight:
+        for j in _members(tight):
             meet[j] &= tight
-    rows, scale = _denominator_rows([p for j, p in enumerate(pts) if meet[j] == {j}])
+    rows, scale = _denominator_rows([p for j, p in enumerate(pts) if meet[j] == 1 << j])
     return _assemble(rows, scale, [(h[:n], -h[n]) for h in facets])
 
 
@@ -651,10 +669,10 @@ def translate(p: Polytope, t: Vector) -> Polytope:
     primitive row of (E g, E c + g . T); :func:`_assemble` builds the
     result at the ``trusted`` level.  Adding t keeps the lexicographic
     vertex order and each facet's vertex set, and the derived incidence
-    must say so, else :class:`TheoremViolation`.  Then the memoised facet
-    lists, triangulations and faces, which are vertex-index data, are
-    carried over.  Volume and centroid are not: they are recomputed when
-    asked for.
+    must say so (equal sets of facet masks), else :class:`TheoremViolation`.
+    Then the memoised facet lists, triangulations and faces, which are
+    vertex-index data, are carried over.  Volume and centroid are not: they
+    are recomputed when asked for.
     """
     if t.dim != p.dim:
         raise ValueError(f"translation dimension {t.dim} != ambient {p.dim}")
@@ -667,7 +685,7 @@ def translate(p: Polytope, t: Vector) -> Polytope:
         [_facet_row([e * x for x in g] + [e * c + sum(map(mul, g, shift))]) for g, c in p.facet_rows],
         validate="trusted",
     )
-    if set(q.incidence) != set(p.incidence):
+    if set(q._masks) != set(p._masks):
         raise TheoremViolation("a translate changed the vertex sets of the facets")
     q.__dict__.update(_facet_lists=dict(p._facet_lists), _triangulations=dict(p._triangulations))
     if "_faces" in p.__dict__:

@@ -9,13 +9,19 @@ pulling triangulation but the subset-scan hull, so exact agreement of
 volume, centroid and every cone weight is a real cross-check: all three
 are invariants of the triangulation.
 
+The library runs the face lattice on int bit masks (bit j is vertex j).
+The frozenset lattice it replaced is kept here as an oracle, and both must
+read the same facets of every face, the same proper faces and the same
+simplices of every facet, with equal volume, centroid and measure.
+
 The ``full`` certificate reads every face dimension from the face lattice;
 the certificate it replaced, which takes each one by an elimination, is
-kept here as its oracle.  Both must accept and reject the same inputs with
-the same message.
+kept here as its oracle.  Both visit facets and ridges in descending mask
+order, and must accept and reject the same inputs with the same message.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction as F
 from math import factorial
 
@@ -24,9 +30,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conevol.cone_measure import cone_volume_measure
 from conevol.errors import DegenerateInput
-from conevol.generators import centered_simplex, cross_polytope, cube
+from conevol.generators import GeneratorSpec, centered_simplex, cross_polytope, cube, generate, random_centered
 from conevol.kernel import Matrix, Vector, affine_hull, determinant, rank_of_rows, vector, zero_vector
 from conevol.polytope import (
+    _FacetStructure,
     centroid,
     convex_hull,
     face_dim,
@@ -35,6 +42,55 @@ from conevol.polytope import (
     volume,
 )
 from test_integer_rows import NAMED, SHIFTS, _shifted
+
+
+def mask(face):
+    return sum(1 << j for j in face)
+
+
+def descending(faces):
+    """Vertex sets in descending mask order: a set is larger than another
+    when it holds the largest vertex index in which the two differ, which
+    is the order of the sets' vertex tuples sorted downwards."""
+    return sorted(faces, key=lambda face: sorted(face, reverse=True), reverse=True)
+
+
+class FrozensetLattice:
+    """The face lattice on frozensets of vertex indices, as the library
+    read it before bit masks: the oracle of ``Polytope._facets_of``,
+    ``_triangulate`` and ``_faces``."""
+
+    def __init__(self, p):
+        self.p, self.facet_lists, self.triangulations = p, {}, {}
+
+    def facets_of(self, face):
+        if face not in self.facet_lists:
+            cuts = {face & tight for tight in self.p.incidence if not face <= tight}
+            cuts.discard(frozenset())
+            self.facet_lists[face] = tuple(c for c in cuts if not any(c < d for d in cuts))
+        return self.facet_lists[face]
+
+    def faces(self):
+        faces = set()
+        stack = [frozenset(range(len(self.p.vertices)))]
+        while stack:
+            for g in self.facets_of(stack.pop()):
+                if g not in faces:
+                    faces.add(g)
+                    if len(g) > 1:
+                        stack.append(g)
+        return frozenset(faces)
+
+    def triangulate(self, face):
+        if face not in self.triangulations:
+            apex = min(face)
+            self.triangulations[face] = ((apex,),) if len(face) == 1 else tuple(
+                s + (apex,)
+                for g in self.facets_of(face)
+                if apex not in g
+                for s in self.triangulate(g)
+            )
+        return self.triangulations[face]
 
 
 def projected_facet_simplices(p, facet_index):
@@ -145,13 +201,13 @@ def elimination_certificate(p):
     for i, tight in enumerate(p.incidence):
         if face_dim(p, tight) != n - 1:
             raise DegenerateInput(f"halfspace {i} does not support a facet")
-    certify_by_elimination(p, everything, n, set())
+    certify_by_elimination(p, FrozensetLattice(p), everything, n, set())
 
 
-def certify_by_elimination(p, face, dim, done):
+def certify_by_elimination(p, lattice, face, dim, done):
     if face in done:
         return
-    facets = p._facets_of(face)
+    facets = descending(lattice.facets_of(face))
     if dim == 1:
         if len(facets) != 2:
             raise DegenerateInput(f"edge {sorted(face)} has {len(facets)} endpoints, expected 2")
@@ -159,8 +215,8 @@ def certify_by_elimination(p, face, dim, done):
         for g in facets:
             if face_dim(p, g) != dim - 1:
                 raise DegenerateInput(f"face {sorted(g)} is not a facet of face {sorted(face)}")
-            certify_by_elimination(p, g, dim - 1, done)
-        for ridge in {r for g in facets for r in p._facets_of(g)}:
+            certify_by_elimination(p, lattice, g, dim - 1, done)
+        for ridge in descending({r for g in facets for r in lattice.facets_of(g)}):
             owners = sum(1 for g in facets if ridge <= g)
             if owners != 2:
                 raise DegenerateInput(f"ridge {sorted(ridge)} lies in {owners} facets, expected 2")
@@ -245,11 +301,64 @@ def test_full_certificate_rejects_a_missing_facet(n):
 
 def test_pulling_triangulation_of_cube_facets():
     # each square facet of the 3-cube: four edges read from the incidence
-    # table, two triangles through its smallest vertex index, pulled last
+    # masks, two triangles through its smallest vertex index, pulled last
     c = cube(3)
     for tight, fs in zip(c.incidence, c.facet_structure):
-        assert len(c._facets_of(tight)) == 4
-        assert all(len(edge) == 2 for edge in c._facets_of(tight))
+        assert len(c._facets_of(mask(tight))) == 4
+        assert all(edge.bit_count() == 2 for edge in c._facets_of(mask(tight)))
         assert len(fs.simplices) == 2
         assert all(len(s) == 3 and s[-1] == min(tight) for s in fs.simplices)
         assert set().union(*fs.simplices) == tight
+
+
+GATE_CORPUS = (
+    [(f"cube{n}", cube, (n,)) for n in (1, 2, 3, 4)]
+    + [(f"{f.__name__}{n}", f, (n,)) for n in (2, 3, 4) for f in (cross_polytope, centered_simplex)]
+    + [(f"prism{n}", lambda n: convex_hull(_prism(n)), (n,)) for n in (3, 4)]
+    + [(f"random{n}x{m}s{seed}", random_centered, (n, m, seed))
+       for n, m in ((2, 12), (3, 8), (4, 6)) for seed in range(4)]
+    + [(f"{kind}{n}s{seed}", lambda *spec: generate(GeneratorSpec(*spec)), (kind, n, None, seed))
+       for kind in ("pyramid_over", "join") for n in (3, 4) for seed in (0, 1, 2)]
+)
+"""The acceptance gate's kinds at its sizes, a few seeds of each."""
+
+
+def assert_lattice_matches_frozenset_oracle(p):
+    oracle = FrozensetLattice(p)
+    everything = frozenset(range(len(p.vertices)))
+    assert p._faces == oracle.faces()
+    for face in oracle.faces() | {everything}:
+        assert {frozenset(j for j in face if g >> j & 1) for g in p._facets_of(mask(face))} == set(
+            oracle.facets_of(face)
+        )
+    for tight, fs in zip(p.incidence, p.facet_structure, strict=True):
+        assert set(fs.simplices) == set(oracle.triangulate(tight))
+    # the same sums over the oracle's simplices, on a fresh copy of p
+    q = from_reps(p.vertices, p.normals, p.rhs, validate="trusted")
+    q.__dict__["facet_structure"] = tuple(_FacetStructure(oracle.triangulate(t)) for t in q.incidence)
+    assert (volume(q), centroid(q)) == (volume(p), centroid(p))
+    if p.origin_interior:
+        assert cone_volume_measure(q) == cone_volume_measure(p)
+
+
+@pytest.mark.parametrize("build, args", [c[1:] for c in GATE_CORPUS], ids=[c[0] for c in GATE_CORPUS])
+def test_mask_lattice_matches_frozenset_oracle_on_gate_corpus(build, args):
+    p = build(*args)
+    assert_lattice_matches_frozenset_oracle(p)
+    assert_lattice_matches_frozenset_oracle(translate_to_centroid(convex_hull(
+        [v + vector([F(1, 3)] * p.dim) for v in p.vertices]
+    )))
+
+
+@settings(max_examples=40, deadline=None)
+@given(point_sets())
+def test_mask_lattice_matches_frozenset_oracle_on_clouds(pts):
+    assume(affine_hull(pts).dim == pts[0].dim)
+    p = convex_hull(pts)
+    assert_lattice_matches_frozenset_oracle(p)
+    assert_lattice_matches_frozenset_oracle(translate_to_centroid(p))
+
+
+def test_descending_is_mask_order():
+    sets = [frozenset(s) for r in range(5) for s in itertools.combinations(range(4), r)]
+    assert [mask(s) for s in descending(sets)] == sorted(map(mask, sets), reverse=True)

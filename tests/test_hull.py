@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conevol.errors import CapExceeded, DegenerateInput
-from conevol.generators import centered_simplex, cross_polytope, cube
+from conevol.generators import GeneratorSpec, centered_simplex, cross_polytope, cube, generate
 from conevol.kernel import ONE, Vector, integer_row, rank_of_rows, vector
 from conevol.polytope import _supporting_halfspaces, convex_hull
 from test_kernel import oracle_kernel_basis
@@ -61,7 +61,8 @@ def assert_matches_oracle(raw):
     assert sorted((h[:n], -h[n]) for h in facets) == expected
     for h, tight in facets.items():
         g, c = vector(h[:n]), -h[n]
-        assert tight == {j for j, p in enumerate(pts) if g.dot(p) == c}
+        # the tight sets are bit masks, bit j for point j
+        assert {j for j in range(len(pts)) if tight >> j & 1} == {j for j, p in enumerate(pts) if g.dot(p) == c}
     p = convex_hull(raw)
     assert p.vertices == oracle_vertices(pts, expected)
     for (a, b), tight in zip(zip(p.normals, p.rhs), p.incidence):
@@ -108,6 +109,11 @@ EXPLICIT = (
     + [("cross+origin", n, [*cross_polytope(n).vertices, vector([0] * n)]) for n in (2, 3, 4, 5)]
     + [("prism", n, _simplex_prism(n)) for n in (2, 3, 4, 5)]
     + [("grid", n, _grid(n)) for n in (1, 2, 3)]
+    # in one dimension the two facets share an empty tight set, which every
+    # live facet contains
+    + [("pair", 1, [vector([F(-2, 3)]), vector([5])])]
+    + [("duplicates", 1, [vector([x]) for x in (3, -1, 3, -1, 3)])]
+    + [("interior", 1, [vector([x]) for x in (0, 7, 2, F(5, 2), -4, 1)])]
 )
 
 
@@ -116,6 +122,13 @@ EXPLICIT = (
 )
 def test_hull_matches_subset_scan_on_named_sets(raw):
     assert_matches_oracle(raw)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_join_of_a_segment_and_a_segment(seed):
+    # dimension 3 joins two 1-dimensional factors, each hulled in R^1
+    p = generate(GeneratorSpec("join", 3, seed=seed))
+    assert len(p.vertices) == 4 and p.facet_count == 4
 
 
 def test_grid_of_81_points_is_the_4_cube():
