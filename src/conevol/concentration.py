@@ -43,6 +43,7 @@ from .kernel import (
 from .polytope import (
     Polytope,
     VPolytope,
+    _members,
     contains_point,
     face_dim,
     polar,
@@ -359,12 +360,9 @@ def detect_join_structure(
     always sum to R^(n+1); the sum is direct, and the hulls complementary,
     iff the dimensions add up to n + 1.
     """
-    everything = frozenset(range(len(p.vertices)))
-    splits = [
-        (tuple(sorted(face)), tuple(sorted(everything - face)))
-        for face in p._faces
-        if 0 in face and face_dim(p, face) + face_dim(p, everything - face) == p.dim - 1
-    ]
+    everything = (1 << len(p.vertex_rows)) - 1
+    sides = [(_members(face), _members(everything ^ face)) for face in p._faces if face & 1]
+    splits = [(f, g) for f, g in sides if face_dim(p, f) + face_dim(p, g) == p.dim - 1]
     if not splits:
         return None
     return tuple(
@@ -409,9 +407,9 @@ def _proper_faces_of_simple(p: Polytope) -> list[frozenset[int]]:
     set is every facet that contains it.
     """
     facet_sets = [
-        frozenset(i for i, tight in enumerate(p.incidence) if face <= tight)
+        frozenset(i for i, tight in enumerate(p.masks) if face & tight == face)
         for face in p._faces
-        if len(face) > 1
+        if face & (face - 1)
     ]
     return sorted(facet_sets, key=lambda s: (len(s), tuple(sorted(s))))
 

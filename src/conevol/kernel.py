@@ -7,15 +7,14 @@ need:
 
 * ``Vector`` / ``Matrix`` value types (immutable, hashable, lexicographically
   ordered),
-* one exact elimination engine: fraction-free (Bareiss) elimination on
-  integer rows, each step dividing exactly by the pivot before it.
-  Rational rows are scaled once to integer rows first; rows that are
-  integers already go in as they are.  Rank and determinants read from one
-  forward-only pass in place (:func:`_forward`); canonical forms (reduced
-  row echelon rows, each as a primitive integer row) from a Gauss-Jordan
-  pass (:func:`_echelon`).  A Fraction is made only for a result, at the
-  end.  Membership and the extension of a canonical form by one row
-  reduce that row against the form's pivots (:func:`_reduce`),
+* exact elimination on integer rows.  Rational rows are scaled once to
+  integer rows first; rows that are integers already go in as they are.
+  Rank and determinants read from one forward-only fraction-free (Bareiss)
+  pass in place (:func:`_forward`), each step dividing exactly by the
+  pivot before it.  Canonical forms (reduced row echelon rows, each as a
+  primitive integer row) are folded up one row at a time (:func:`_extend`),
+  and membership reduces a row against a form's pivots (:func:`_reduce`).
+  A Fraction is made only for a result, at the end,
 * one span type: a linear subspace of R^n spans rows of width n, an
   affine flat ``A`` is the linear span of its points ``(a, 1)``, rows of
   width n + 1.  Both kinds share membership, ``dim``, ``basis`` and one
@@ -31,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm, prod
 from typing import ClassVar, Iterable, Sequence, Union
 
@@ -147,7 +147,8 @@ def _eliminate(rows: Iterable[list[int]], top: list[int], c: int, prev: int) -> 
     """One fraction-free (Bareiss) step: clear column ``c`` of every row by
     the pivot row ``top``.  Each new entry ``(top[c] * x - row[c] * y)``
     divides exactly by ``prev``, the pivot of the step before (1 at the
-    start), so integer rows stay integer rows of the same span."""
+    start), so integer rows stay integer rows of the same span.  It serves
+    the column table of the flat walk (:func:`conevol.concentration._spanned_flats`)."""
     pivot = top[c]
     return [[(pivot * x - row[c] * y) // prev for x, y in zip(row, top)] for row in rows]
 
@@ -187,40 +188,6 @@ def _forward(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
     return r, sign * prev
 
 
-def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int, list[int], int]:
-    """Fraction-free Gauss-Jordan elimination of integer rows, for callers
-    that read the reduced rows or the pivot columns.
-
-    Rational rows are scaled to integer rows by the caller
-    (:func:`_scaled`), which keeps the row span; every step is
-    :func:`_eliminate`.  At the end each pivot entry equals the last pivot
-    d, so the first rank rows are d times the reduced row echelon form and
-    the rows past the rank are zero.
-    Returns (rows, rank, pivot column indices, d).
-    Pivot choice is the first nonzero entry in column order, which makes the
-    output canonical for a given row span.
-    """
-    work = list(rows)
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(len(work[0]) if work else 0):
-        if r == len(work):
-            break
-        pivot_row = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-        top = work[r]
-        rest = _eliminate(work[:r] + work[r + 1 :], top, c, prev)
-        work = rest[:r] + [top] + rest[r:]
-        prev = top[c]
-        pivots.append(c)
-        r += 1
-    return work, r, pivots, prev
-
-
 def _scaled(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     return [integer_row(row) for row in rows]
 
@@ -240,23 +207,6 @@ def determinant(m: Matrix) -> Fraction:
     if rank < n:
         return ZERO
     return Fraction(d, prod(_denominator_lcm(row.coords) for row in m.rows))
-
-
-def canonical_rows(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """The canonical form of the span of integer rows: its reduced row
-    echelon rows, each as its primitive integer multiple with a positive
-    pivot entry.
-
-    :func:`_echelon` leaves each row as d times its reduced row, so the row
-    over its gcd, signed like d, is that multiple; no Fraction is made.
-    """
-    work, rank, _, d = _echelon(rows)
-    sign = 1 if d > 0 else -1
-    canonical = []
-    for row in work[:rank]:
-        g = sign * gcd(*row)
-        canonical.append(tuple(x // g for x in row))
-    return tuple(canonical)
 
 
 def _pivot(row: Sequence[int]) -> int:
@@ -293,19 +243,30 @@ def _primitive_row(row: Sequence[int]) -> tuple[int, ...]:
     return tuple([x // g for x in row])
 
 
-def _extend(rows: Sequence[tuple[int, ...]], row: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+def _extend(rows: tuple[tuple[int, ...], ...], row: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """The canonical rows of the span of canonical ``rows`` and one integer
-    ``row`` outside it, in one pass: reduce the row against the pivots of
-    ``rows`` and make it primitive with a positive pivot, clear its pivot
+    ``row``, in one pass: reduce the row against the pivots of ``rows``, and
+    return ``rows`` unchanged if that leaves zero (the row is in their
+    span).  Else make it primitive with a positive pivot, clear its pivot
     column from ``rows`` and make them primitive again, and order the rows
     by pivot column.  The result is the unique scaled reduced row echelon
-    form of the span, so it equals :func:`canonical_rows` of all the rows.
+    form of the span.
     """
-    new = _primitive_row(_reduce(rows, row))
+    reduced = _reduce(rows, row)
+    if not any(reduced):
+        return rows
+    new = _primitive_row(reduced)
     c = _pivot(new)
     out = [_primitive_row(_clear(top, new, c)) if top[c] else top for top in rows]
     out.insert(sum(_pivot(top) < c for top in rows), new)
     return tuple(out)
+
+
+def canonical_rows(rows: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The canonical form of the span of integer rows: its reduced row
+    echelon rows, each as its primitive integer multiple with a positive
+    pivot entry, folded up one row at a time by :func:`_extend`."""
+    return reduce(_extend, rows, ())
 
 
 def _in_span(rows: Sequence[Sequence[int]], row: Sequence[int]) -> bool:

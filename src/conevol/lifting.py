@@ -85,11 +85,13 @@ def pyramid_lift(q: Polytope) -> Polytope:
         + [((0,) * k + (1,), 1)],
         validate="trusted",
     )
-    # appending D keeps the order of the base rows; the apex sorts among them
+    # appending D keeps the order of the base rows; the apex sorts among
+    # them at index a, so the bits of a mask of q from bit a up move one up
     a = p.vertex_rows.index(apex)
-    base = [j + (j >= a) for j in range(len(q.vertex_rows))]
-    pattern = {frozenset(base)} | {frozenset([a, *(base[j] for j in tight)]) for tight in q.incidence}
-    if set(p.incidence) != pattern:
+    low = (1 << a) - 1
+    base = ((1 << len(p.vertex_rows)) - 1) ^ (1 << a)
+    sides = {(1 << a) | (t & low) | ((t & ~low) << 1) for t in q.masks}
+    if set(p.masks) != {base} | sides:
         raise TheoremViolation("the lift's facets are not those of a pyramid over its base")
     return p
 

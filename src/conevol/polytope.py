@@ -1,47 +1,47 @@
 """Exact polytope representations and conversions.
 
-A :class:`Polytope` is its integer rows and its incidence table:
+A :class:`Polytope` is its integer rows and its incidence masks:
 
 * ``vertex_rows``: every vertex times the least common denominator D of all
   vertex coordinates (``denominator``), sorted, which is the lexicographic
   order of the vertices,
 * ``facet_rows``: every facet <g_i, x> <= c_i as its primitive integer row
   (g_i, c_i), in canonical order (:func:`_canonical_facets`),
-* ``incidence``: for each facet, the set of vertex indices lying on it, that
-  is the j with g_i . V_j == c_i D; the same pass stores it once more as
-  int bit masks (bit j for vertex row j), which all face-lattice work reads.
+* ``masks``: for each facet, the int bit mask of the vertex rows lying on
+  it (bit j for vertex row j), that is the j with g_i . V_j == c_i D.
 
-The rational views are derived from the rows once, on first use: the
-vertices V_j / D, and the facets, normalized to ``<a_i, x> <= 1`` when every
-c_i is positive (the origin strictly interior) and kept as ``<g_i, x> <= c_i``
-otherwise (this happens e.g. for hulls taken before recentering, where the
-origin may sit on the boundary).
+The other views are derived from these once, on first use: ``incidence``,
+each mask as a frozenset of vertex indices; the vertices V_j / D; and the
+facets, normalized to ``<a_i, x> <= 1`` when every c_i is positive (the
+origin strictly interior) and kept as ``<g_i, x> <= c_i`` otherwise (this
+happens e.g. for hulls taken before recentering, where the origin may sit
+on the boundary).
 
-Everything is exact.  Facets of a hull are found by the double description
-method on integer rows and bit-mask tight sets: points are inserted one at
-a time, and each new facet combines an adjacent pair of facets the point
-splits.  Facet-form
-input with positive right-hand sides goes through polarity: the hull of the
-scaled normals, read back through :func:`polar`.
+Everything is exact.  A hull turns its input into integer rows over one
+common denominator once, and finds the facets by the double description
+method on those rows and bit-mask tight sets: it starts from the simplex on
+the greedy basis of the points, read from the kernel's canonical forms;
+further points are inserted one at a time, and each new facet combines an
+adjacent pair of facets the point splits.  Facet-form input with positive
+right-hand sides goes through polarity: the hull of the scaled normals,
+read back through :func:`polar`.
 
 Every polytope is built by one constructor, :func:`_assemble`, from rows:
 a hull from its extreme points and double-description facets; a translate,
 a polar and a pyramid lift (:mod:`conevol.lifting`) from the rows of their
 parent.  Incidence, validation, the rank certificates, volume, centroid and
-cone volumes all run on those rows through the kernel's one fraction-free
-elimination: ranks and determinants through its forward pass, the hull's
-starting simplex through its Gauss-Jordan pass.  Each result becomes a
-Fraction once, at the end.
+cone volumes all run on those rows, every rank and determinant through the
+kernel's forward fraction-free pass.  Each result becomes a Fraction once,
+at the end.
 
 Every face below a facet is a bit mask read from the incidence masks alone:
 the facets of a face are the inclusion-maximal nonempty intersections of
 its mask with the facet masks that do not contain it.  This face lattice is
 memoised on the polytope by mask and carries the ``full`` completeness
-certificate, the walk over every proper face that join detection reads
-(as frozensets, made once at its end), and the pulling triangulation: a
-face is coned from its lowest set bit over the triangulations of its
-facets that miss that vertex.  Volume
-and centroid cone the facet simplices at an interior point (the vertex
+certificate, the walk over every proper face that join detection reads,
+and the pulling triangulation: a face is coned from its lowest set bit over
+the triangulations of its facets that miss that vertex.  Volume and
+centroid cone the facet simplices at an interior point (the vertex
 average); cone volumes at the origin reuse the same facet simplices.
 
 The certificate takes no elimination per face: a listed facet of a face
@@ -74,9 +74,10 @@ from .kernel import (
     ONE,
     ZERO,
     Vector,
-    _echelon,
+    _extend,
     _forward,
     affine_hull,
+    canonical_rows,
     complementary,
     integer_row,
     rank_of_rows,
@@ -137,20 +138,25 @@ class Polytope:
 
     ``vertex_rows`` are the vertices times their least common denominator
     ``denominator``, sorted; ``facet_rows`` are the facets <g, x> <= c as
-    primitive rows (g, c) in canonical order; ``incidence`` lists, for each
-    facet, the indices of the vertex rows on it.  The rational views
-    (``vertices``, ``normals``, ``rhs``, ``v_rep``, ``h_rep``) are derived
-    from the rows once, on first use.  Built by :func:`_assemble`.
+    primitive rows (g, c) in canonical order; ``masks`` holds, for each
+    facet, the bit mask of the vertex rows on it.  The views (``incidence``,
+    ``vertices``, ``normals``, ``rhs``) are derived once, on first use.
+    Built by :func:`_assemble`.
     """
 
     vertex_rows: tuple[tuple[int, ...], ...]
     denominator: int
     facet_rows: tuple[tuple[tuple[int, ...], int], ...]
-    incidence: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
 
     @property
     def dim(self) -> int:
         return len(self.vertex_rows[0])
+
+    @cached_property
+    def incidence(self) -> tuple[frozenset[int], ...]:
+        """For each facet, the set of vertex indices on it."""
+        return tuple(frozenset(_members(tight)) for tight in self.masks)
 
     @cached_property
     def vertices(self) -> tuple[Vector, ...]:
@@ -169,14 +175,6 @@ class Polytope:
         if self.origin_interior:
             return (ONE,) * len(self.facet_rows)
         return tuple(Fraction(c) for _, c in self.facet_rows)
-
-    @cached_property
-    def v_rep(self) -> VPolytope:
-        return VPolytope(self.dim, self.vertices)
-
-    @cached_property
-    def h_rep(self) -> HPolytope:
-        return HPolytope(self.dim, self.normals, self.rhs)
 
     @property
     def facet_count(self) -> int:
@@ -199,13 +197,8 @@ class Polytope:
     @cached_property
     def vertex_facets(self) -> tuple[frozenset[int], ...]:
         """For each vertex index, the set of facet indices containing it."""
-        masks = list(enumerate(self._masks))
+        masks = list(enumerate(self.masks))
         return tuple(frozenset(i for i, t in masks if t >> j & 1) for j in range(len(self.vertex_rows)))
-
-    @cached_property
-    def _masks(self) -> tuple[int, ...]:
-        """``incidence`` as bit masks, bit j for vertex row j; set by :func:`_assemble`."""
-        return tuple(sum(1 << j for j in tight) for tight in self.incidence)
 
     @cached_property
     def _facet_lists(self) -> dict[int, tuple[int, ...]]:
@@ -223,7 +216,7 @@ class Polytope:
         memo = self._facet_lists
         if face not in memo:
             kept: list[int] = []
-            for c in sorted(set(map(face.__and__, self._masks)) - {face, 0}, reverse=True):
+            for c in sorted(set(map(face.__and__, self.masks)) - {face, 0}, reverse=True):
                 for k in kept:
                     if c & k == c:
                         break
@@ -233,9 +226,9 @@ class Polytope:
         return memo[face]
 
     @cached_property
-    def _faces(self) -> frozenset[frozenset[int]]:
-        """Every nonempty proper face as a vertex index set, vertices
-        included, walked down the face lattice from the whole vertex set."""
+    def _faces(self) -> frozenset[int]:
+        """Every nonempty proper face as a vertex mask, vertices included,
+        walked down the face lattice from the whole vertex set."""
         faces: set[int] = set()
         stack = [(1 << len(self.vertex_rows)) - 1]
         while stack:
@@ -244,7 +237,7 @@ class Polytope:
                     faces.add(g)
                     if g & (g - 1):
                         stack.append(g)
-        return frozenset(frozenset(_members(g)) for g in faces)
+        return frozenset(faces)
 
     def _triangulate(self, face: int) -> tuple[tuple[int, ...], ...]:
         """Pulling triangulation of a face mask: its lowest set bit coned
@@ -260,7 +253,7 @@ class Polytope:
 
     @cached_property
     def facet_structure(self) -> tuple[_FacetStructure, ...]:
-        return tuple(_FacetStructure(self._triangulate(f)) for f in self._masks)
+        return tuple(_FacetStructure(self._triangulate(f)) for f in self.masks)
 
     @cached_property
     def _volume_centroid(self) -> tuple[Fraction, Vector]:
@@ -321,8 +314,8 @@ def _assemble(
     The vertex rows are put over their least common denominator D,
     deduplicated and sorted; the facet rows are deduplicated and put in
     canonical order (:func:`_canonical_facets`).  One pass over g . V_j
-    against c D derives incidence, as index sets and as bit masks, and
-    rejects a vertex outside a facet.
+    against c D derives the incidence masks and rejects a vertex outside a
+    facet.
     That is all ``trusted`` checks, for constructions proven complete (a
     translate, a polar, a closed-form lift); it accepts an incomplete facet
     list, and the volume read from it is then wrong without an error (the
@@ -339,21 +332,18 @@ def _assemble(
     if len(rows) < n + 1:
         raise DegenerateInput(f"{len(rows)} vertices cannot span dimension {n}")
     facets = _canonical_facets(facet_rows)
-    incidence, masks = [], []
+    masks = []
     for g, c in facets:
-        bound, tight, mask = c * scale, [], 0
+        bound, mask = c * scale, 0
         for j, v in enumerate(rows):
             d = sum(map(mul, g, v))
             if d == bound:
-                tight.append(j)
                 mask |= 1 << j
             elif d > bound:
                 point = tuple(Fraction(x, scale) for x in v)
                 raise DegenerateInput(f"vertex {point} violates facet {g} . x <= {c}")
-        incidence.append(frozenset(tight))
         masks.append(mask)
-    p = Polytope(tuple(rows), scale, facets, tuple(incidence))
-    p.__dict__["_masks"] = tuple(masks)
+    p = Polytope(tuple(rows), scale, facets, tuple(masks))
     if validate == "full":
         _validate_polytope(p)
     return p
@@ -383,7 +373,7 @@ def _validate_polytope(p: Polytope) -> None:
         if _forward([p.facet_rows[i][0] for i in tight_facets])[0] != n:
             raise DegenerateInput(f"point {p.vertices[j].coords} is not a vertex (tight rank < {n})")
     chains: dict[int, int] = {}
-    for i, tight in enumerate(p._masks):
+    for i, tight in enumerate(p.masks):
         if _chain(p, tight, chains) != n - 1:
             raise DegenerateInput(f"halfspace {i} does not support a facet")
     _certify_facet_list(p, (1 << m) - 1, n, chains, set())
@@ -471,10 +461,11 @@ def _volume_centroid_coned(p: Polytope, apex_index: int | None) -> tuple[Fractio
     else:
         s, apex = 1, rows[apex_index]
     shifted = [[s * x - a for x, a in zip(row, apex)] for row in rows]
+    skip = 0 if apex_index is None else 1 << apex_index
     total = 0
     moment = [0] * n
-    for i, fs in enumerate(p.facet_structure):
-        if apex_index in p.incidence[i]:
+    for tight, fs in zip(p.masks, p.facet_structure):
+        if tight & skip:
             continue
         for simplex in fs.simplices:
             det = _abs_det([shifted[j] for j in simplex])
@@ -516,29 +507,42 @@ def contains_point(p: Polytope, x: Vector, *, strict: bool = False) -> bool:
     return True
 
 
-def _supporting_halfspaces(pts: Sequence[Vector]) -> dict[tuple[int, ...], int]:
-    """The facets of conv(pts) by the double description method (Motzkin,
-    Raiffa, Thompson and Thrall, 1953; Fukuda and Prodon, 1996).
+def _supporting_halfspaces(points: Sequence[tuple[int, ...]], scale: int) -> dict[tuple[int, ...], int]:
+    """The facets of the hull of the integer points over the positive
+    common denominator ``scale``, by the double description method
+    (Motzkin, Raiffa, Thompson and Thrall, 1953; Fukuda and Prodon, 1996).
 
     A facet is a primitive integer row h with h . p <= 0 on every point
-    homogenized to an integer row p = (x, 1); it maps to the bit mask of
-    the inserted points tight on it (bit j for point j).  The hull starts
-    as the simplex on n + 1 affinely independent points, each facet
-    oriented away from the point it omits.  A further point p replaces its
+    homogenized to the integer row p = (x, scale); it maps to the bit mask
+    of the inserted points tight on it (bit j for point j).  The hull starts
+    as the simplex on the greedy basis of the homogenized points (each one
+    kept iff it is outside the span of those kept before it), each facet
+    oriented away from the point it omits: the facets are the columns of
+    -S^-1 for the simplex rows S.  A further point p replaces its
     visible facets f (f . p > 0) by (f . p) g - (g . p) f for each adjacent
     invisible g: their common mask has at least n - 1 bits, and no third
     live mask t has ``common & t == common``.  Tight and interior points
     only join tight sets.
     """
-    n = pts[0].dim
-    rows = [integer_row(p.coords + (ONE,)) for p in pts]
-    _, rank, simplex, _ = _echelon(list(zip(*rows)))
-    if rank != n + 1:
-        raise DegenerateInput(f"affine rank {rank - 1} < ambient dimension {n}")
-    # the facets are the columns of -inverse(simplex rows); _echelon leaves d * inverse
-    inverse, _, _, d = _echelon([rows[i] + [int(i == k) for k in simplex] for i in simplex])
+    n = len(points[0])
+    rows = [p + (scale,) for p in points]
+    span, simplex = (), []
+    for j, row in enumerate(rows):
+        grown = _extend(span, row)
+        if len(grown) > len(span):
+            span = grown
+            simplex.append(j)
+            if len(span) == n + 1:
+                break
+    if len(span) != n + 1:
+        raise DegenerateInput(f"affine rank {len(span) - 1} < ambient dimension {n}")
+    # canonical_rows of [S | I] is [I | S^-1], row r times its positive
+    # pivot; scaled to the lcm of the pivots, the rows are a multiple of S^-1
+    inverse = canonical_rows([rows[i] + tuple(int(i == k) for k in simplex) for i in simplex])
+    common = lcm(*(row[r] for r, row in enumerate(inverse)))
+    inverse = [[common // row[r] * x for x in row[n + 1 :]] for r, row in enumerate(inverse)]
     facets = {
-        _primitive([-d * row[n + 1 + col] for row in inverse]): sum(1 << k for k in simplex if k != i)
+        _primitive([-row[col] for row in inverse]): sum(1 << k for k in simplex if k != i)
         for col, i in enumerate(simplex)
     }
     for j in sorted(set(range(len(rows))) - set(simplex)):
@@ -566,7 +570,8 @@ def _supporting_halfspaces(pts: Sequence[Vector]) -> dict[tuple[int, ...], int]:
 def v_to_h(v: VPolytope) -> HPolytope:
     """Facet enumeration.  Unit right-hand sides when the origin is interior,
     primitive-integer general form otherwise."""
-    return convex_hull(v.vertices, dim_cap=v.dim).h_rep
+    p = convex_hull(v.vertices, dim_cap=v.dim)
+    return HPolytope(p.dim, p.normals, p.rhs)
 
 
 def _check_dim_cap(n: int, dim_cap: int) -> None:
@@ -578,32 +583,35 @@ def _check_dim_cap(n: int, dim_cap: int) -> None:
 
 
 def convex_hull(
-    points: Sequence[Vector],
+    points: Iterable[Vector],
     *,
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> Polytope:
     """Convex hull of a full-dimensional rational point set.
 
-    Redundant (non-extreme) points are dropped; coplanar point sets merge
-    into single facets.  Raises :class:`DegenerateInput` naming the affine
-    rank when the points do not span, and :class:`CapExceeded` above the
-    dimension cap or the facet cap.
+    The points become integer rows over one positive common denominator
+    once; deduplicated and sorted, the rows are in the lexicographic order
+    of the points.  Redundant (non-extreme) points are dropped; coplanar
+    point sets merge into single facets.  Raises :class:`DegenerateInput`
+    naming the affine rank when the points do not span, and
+    :class:`CapExceeded` above the dimension cap or the facet cap.
     """
-    pts = tuple(sorted(set(points)))
-    if not pts:
+    rows, scale = _denominator_rows(tuple(points))
+    rows = sorted(set(rows))
+    if not rows:
         raise DegenerateInput("empty point set")
-    n = pts[0].dim
-    if any(p.dim != n for p in pts):
+    n = len(rows[0])
+    if any(len(row) != n for row in rows):
         raise ValueError("mixed point dimensions")
     _check_dim_cap(n, dim_cap)
-    facets = _supporting_halfspaces(pts)
+    facets = _supporting_halfspaces(rows, scale)
     # a point is a vertex iff the facets through it meet in that point alone
-    meet = [(1 << len(pts)) - 1] * len(pts)
+    meet = [(1 << len(rows)) - 1] * len(rows)
     for tight in facets.values():
         for j in _members(tight):
             meet[j] &= tight
-    rows, scale = _denominator_rows([p for j, p in enumerate(pts) if meet[j] == 1 << j])
-    return _assemble(rows, scale, [(h[:n], -h[n]) for h in facets])
+    extreme = [row for j, row in enumerate(rows) if meet[j] == 1 << j]
+    return _assemble(extreme, scale, [(h[:n], -h[n]) for h in facets])
 
 
 def _polar_hull(h: HPolytope, *, dim_cap: int) -> Polytope:
@@ -630,7 +638,8 @@ def h_to_v(h: HPolytope, *, dim_cap: int = DEFAULT_DIM_CAP) -> VPolytope:
     Raises :class:`Unbounded` when the recession cone is nontrivial and
     :class:`OriginNotInterior` for a non-positive right-hand side.
     """
-    return _polar_hull(h, dim_cap=dim_cap).v_rep
+    p = _polar_hull(h, dim_cap=dim_cap)
+    return VPolytope(p.dim, p.vertices)
 
 
 def from_reps(
@@ -685,7 +694,7 @@ def translate(p: Polytope, t: Vector) -> Polytope:
         [_facet_row([e * x for x in g] + [e * c + sum(map(mul, g, shift))]) for g, c in p.facet_rows],
         validate="trusted",
     )
-    if set(q._masks) != set(p._masks):
+    if set(q.masks) != set(p.masks):
         raise TheoremViolation("a translate changed the vertex sets of the facets")
     q.__dict__.update(_facet_lists=dict(p._facet_lists), _triangulations=dict(p._triangulations))
     if "_faces" in p.__dict__:

@@ -34,6 +34,7 @@ from conevol.generators import GeneratorSpec, centered_simplex, cross_polytope, 
 from conevol.kernel import Matrix, Vector, affine_hull, determinant, rank_of_rows, vector, zero_vector
 from conevol.polytope import (
     _FacetStructure,
+    _members,
     centroid,
     convex_hull,
     face_dim,
@@ -326,7 +327,7 @@ GATE_CORPUS = (
 def assert_lattice_matches_frozenset_oracle(p):
     oracle = FrozensetLattice(p)
     everything = frozenset(range(len(p.vertices)))
-    assert p._faces == oracle.faces()
+    assert {frozenset(_members(g)) for g in p._faces} == oracle.faces()
     for face in oracle.faces() | {everything}:
         assert {frozenset(j for j in face if g >> j & 1) for g in p._facets_of(mask(face))} == set(
             oracle.facets_of(face)

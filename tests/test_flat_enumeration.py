@@ -6,8 +6,9 @@ index subset of size at most max_dim + 1 (affine) or max_dim (linear), m
 membership tests per distinct flat, and a dedupe keyed on the member set.
 Each walk flat's ``basis``, its member set and their order must agree
 exactly with the oracle's.  The walk builds each flat's canonical rows from
-its parent's, one row at a time; ``kernel.canonical_rows`` of the member
-rows, a whole elimination, is their oracle on the gate's corpus.
+its parent's, one row at a time; the kernel's former Gauss-Jordan canonical
+form of the member rows (``oracle_canonical_rows`` of ``test_kernel``), a
+whole elimination, is their oracle on the gate's corpus.
 
 ``oracle_join_structure`` is the former join detection on that
 enumeration: every vertex-spanned proper flat whose members and the rest
@@ -39,9 +40,9 @@ from conevol.generators import (
     generate,
     random_centered,
 )
-from conevol.kernel import AffineFlat, LinearSubspace, Vector, canonical_rows, vector
+from conevol.kernel import AffineFlat, LinearSubspace, Vector, vector
 from conevol.polytope import VPolytope, convex_hull, polar, translate_to_centroid
-from test_kernel import oracle_in_span, oracle_rref
+from test_kernel import oracle_canonical_rows, oracle_in_span, oracle_rref
 
 
 def _oracle_rows(points, affine):
@@ -218,6 +219,6 @@ def test_incremental_canonical_rows_match_elimination():
         for kind in (AffineFlat, LinearSubspace):
             rows = _normal_rows(p, kind)
             for canonical, members in _spanned_flats(rows, p.dim + kind.homogenizing):
-                assert canonical == canonical_rows([rows[i] for i in sorted(members)])
+                assert canonical == oracle_canonical_rows([rows[i] for i in sorted(members)])
                 flats += 1
     assert flats > 80000

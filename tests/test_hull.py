@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from conevol.errors import CapExceeded, DegenerateInput
 from conevol.generators import GeneratorSpec, centered_simplex, cross_polytope, cube, generate
 from conevol.kernel import ONE, Vector, integer_row, rank_of_rows, vector
-from conevol.polytope import _supporting_halfspaces, convex_hull
+from conevol.polytope import _denominator_rows, _supporting_halfspaces, convex_hull
 from test_kernel import oracle_kernel_basis
 
 
@@ -57,7 +57,7 @@ def assert_matches_oracle(raw):
             convex_hull(raw)
         return
     expected = subset_scan(pts)
-    facets = _supporting_halfspaces(pts)
+    facets = _supporting_halfspaces(*_denominator_rows(pts))
     assert sorted((h[:n], -h[n]) for h in facets) == expected
     for h, tight in facets.items():
         g, c = vector(h[:n]), -h[n]
@@ -122,6 +122,16 @@ EXPLICIT = (
 )
 def test_hull_matches_subset_scan_on_named_sets(raw):
     assert_matches_oracle(raw)
+
+
+@pytest.mark.parametrize(
+    "raw", [pts for _, _, pts in EXPLICIT], ids=[f"{k}{n}" for k, n, _ in EXPLICIT]
+)
+def test_hull_takes_any_iterable_of_points(raw):
+    # a set and a generator have no index 0, and are read once
+    p = convex_hull(tuple(raw))
+    assert convex_hull(set(raw)) == p
+    assert convex_hull(v for v in raw) == p
 
 
 @pytest.mark.parametrize("seed", range(6))

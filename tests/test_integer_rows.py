@@ -268,8 +268,8 @@ def test_a_wrong_incidence_table_is_rejected(name, level):
     for i in range(p.facet_count):
         off = min(set(range(len(p.vertices))) - p.incidence[i])
         for wrong in (p.incidence[i] - {min(p.incidence[i])}, p.incidence[i] | {off}):
-            table = p.incidence[:i] + (wrong,) + p.incidence[i + 1:]
-            bad = dataclasses.replace(p, incidence=table)
+            table = p.masks[:i] + (sum(1 << j for j in wrong),) + p.masks[i + 1:]
+            bad = dataclasses.replace(p, masks=table)
             with pytest.raises(DegenerateInput):
                 oracle_containment(bad)
             with pytest.raises(TheoremViolation, match="translate"):

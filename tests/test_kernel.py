@@ -4,11 +4,12 @@ Expected values are frozen from independent oracles implemented here
 (cofactor determinants, an affine-combination feasibility solver), never
 from the functions under test.  The kernel's former Fraction engines, a
 Gauss-Jordan reduced row echelon form and a forward Bareiss determinant,
-are kept here as the oracles of a differential test of both passes of the
-fraction-free engine that replaced them: the Gauss-Jordan pass behind the
-canonical forms, and the in-place forward pass behind every rank and
-determinant (``rank_of_rows``, ``complementary``, ``determinant`` and the
-polytope layer's ``_abs_det``).
+are kept here as the oracles of a differential test of what replaced them:
+the canonical forms, folded up one row at a time, and the in-place forward
+pass behind every rank and determinant (``rank_of_rows``,
+``complementary``, ``determinant`` and the polytope layer's ``_abs_det``).
+The kernel's former fraction-free Gauss-Jordan canonical form on integer
+rows is kept too (``oracle_canonical_rows``), as the oracle of the fold.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from conevol.kernel import (
     Vector,
     affine_hull,
     as_fraction,
+    canonical_rows,
     complementary,
     determinant,
     linear_span,
@@ -334,6 +336,34 @@ def oracle_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], int, 
     return rows, r, pivots
 
 
+def oracle_canonical_rows(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """The kernel's former canonical form: fraction-free Gauss-Jordan
+    elimination of the integer rows, pivoting on the first nonzero entry in
+    column order.  Each step clears the pivot column from every other row
+    as ``(pivot * x - row[c] * y) // prev``, so at the end each pivot entry
+    is the last pivot d and the first rank rows are d times the reduced row
+    echelon form; each over its gcd, signed like d, is its primitive
+    multiple with a positive pivot."""
+    work = [list(row) for row in rows]
+    prev, r = 1, 0
+    for c in range(len(work[0]) if work else 0):
+        if r == len(work):
+            break
+        pivot_row = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        top = work[r]
+        pivot = top[c]
+        others = work[:r] + work[r + 1 :]
+        rest = [[(pivot * x - row[c] * y) // prev for x, y in zip(row, top)] for row in others]
+        work = rest[:r] + [top] + rest[r:]
+        prev = pivot
+        r += 1
+    sign = 1 if prev > 0 else -1
+    return tuple(tuple(x // (sign * math.gcd(*row)) for x in row) for row in work[:r])
+
+
 def oracle_determinant(rows: list[list[Fraction]]) -> Fraction:
     """The kernel's former determinant: forward Bareiss elimination on the
     rows scaled to integers, one scale per row."""
@@ -456,6 +486,8 @@ class TestEngineAgainstFractionOracle:
         vectors = [vector(row) for row in rows]
         assert rref(matrix(rows)) == (expected, rank, tuple(pivots))
         assert rank_of_rows(rows) == rank
+        scaled = [[int(x * math.lcm(*(y.denominator for y in row))) for x in row] for row in rows]
+        assert canonical_rows(scaled) == oracle_canonical_rows(scaled)
         sub = linear_span(vectors, ncols)
         assert sub.basis == expected.rows
         hom = [row + [QQ(1)] for row in rows]
