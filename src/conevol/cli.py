@@ -46,7 +46,6 @@ from .polytope import (
     DEFAULT_DIM_CAP,
     Polytope,
     centroid,
-    is_centered,
     is_pyramid,
     polar,
     pyramid_apexes,
@@ -180,7 +179,7 @@ def _require_centered_input(
     p: Polytope, args: argparse.Namespace, echo: dict[str, Any]
 ) -> Polytope:
     echo["recentered"] = False
-    if is_centered(p):
+    if p.centered:
         return p
     if not getattr(args, "recenter", False):
         raise NotCentered(

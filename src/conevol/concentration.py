@@ -439,7 +439,7 @@ def equality_case_classification(p: Polytope) -> list[EqualityCase]:
 
     The flat of a vertex v is always the hyperplane {y : <y, v> = 1}: v is
     the only point on all of its facets, so the tight normals have rank n
-    (the ``full`` certificate checks this), and they all lie on that
+    (the completeness certificate checks this), and they all lie on that
     hyperplane, which misses the origin, so their affine hull has dimension
     n - 1 and is that hyperplane.  A vertex flat of any other dimension
     raises TheoremViolation.

@@ -35,13 +35,8 @@ class ConeVolumeMeasure:
     scale: int
 
     def weight(self, facet_index: int) -> Fraction:
+        """Exact volume of conv({0} u F_i) for facet i."""
         return self.atoms[facet_index][1]
-
-
-def cone_volume(p: Polytope, facet_index: int) -> Fraction:
-    """Exact volume of conv({0} u F_i): the weight of facet i in
-    :func:`cone_volume_measure`."""
-    return cone_volume_measure(p).weight(facet_index)
 
 
 def cone_volume_measure(p: Polytope) -> ConeVolumeMeasure:

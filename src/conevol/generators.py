@@ -5,9 +5,8 @@ interior, ready for cone-volume audits.  The determinism contract is
 strict: equal :class:`GeneratorSpec`, equal polytope, byte-identical
 serialization downstream.
 
-The cube is assembled from its known representations (a hull scan over
-2^n sign vectors is pointless work); the cross-polytope and simplex go
-through the hull machinery so their facet lists are computed rather than
+The cube, the cross-polytope and the simplex go through the hull
+machinery, so their facet lists are computed and certified rather than
 asserted.
 """
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .polytope import (
     _check_dim_cap,
     centroid,
     convex_hull,
-    from_reps,
     join,
     translate_to_centroid,
     vertex_fan_volume_centroid,
@@ -72,11 +70,7 @@ def cube(n: int, *, dim_cap: int = DEFAULT_DIM_CAP) -> Polytope:
     """The cube [-1, 1]^n."""
     _require_dim(n, dim_cap)
     verts = [vector(signs) for signs in itertools.product((-1, 1), repeat=n)]
-    normals = []
-    for k in range(n):
-        normals.append(-unit_vector(n, k))
-        normals.append(unit_vector(n, k))
-    return from_reps(verts, normals, [1] * (2 * n))
+    return convex_hull(verts, dim_cap=dim_cap)
 
 
 def cross_polytope(n: int, *, dim_cap: int = DEFAULT_DIM_CAP) -> Polytope:
@@ -229,4 +223,4 @@ def generate(spec: GeneratorSpec, *, dim_cap: int = DEFAULT_DIM_CAP) -> Polytope
         q1 = _embedded_factor(spec.points, d1, 0, d2, 1, spec.seed, dim_cap)
         q2 = _embedded_factor(spec.points, d2, d1, 0, -1, spec.seed + 1, dim_cap)
         return join_centered(q1, q2, dim_cap=dim_cap)
-    raise AssertionError("unreachable: spec validated kinds")
+    raise AssertionError("unreachable: GeneratorSpec checks the kind")

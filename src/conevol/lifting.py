@@ -68,7 +68,7 @@ def pyramid_lift(q: Polytope) -> Polytope:
     The vertex rows V_j over D of ``q`` become (V_j, D), plus the apex
     (0, ..., 0, -(k+1) D); each facet row (g, c) becomes the side facet
     ((k+2) g, -c) . x <= (k+1) c, plus the base facet x_{k+1} <= 1.  It is
-    built ``trusted`` and certified by the pyramid lemma: the derived
+    built with no hull and certified by the pyramid lemma: the derived
     incidence must be one facet on every base vertex and, for each facet of
     ``q``, one on its vertices and the apex, else :class:`TheoremViolation`.
     The apex lies strictly below the base hyperplane, so for a certified
@@ -83,7 +83,6 @@ def pyramid_lift(q: Polytope) -> Polytope:
         d,
         [_facet_row([(k + 2) * x for x in g] + [-c, (k + 1) * c]) for g, c in q.facet_rows]
         + [((0,) * k + (1,), 1)],
-        validate="trusted",
     )
     # appending D keeps the order of the base rows; the apex sorts among
     # them at index a, so the bits of a mask of q from bit a up move one up
@@ -122,28 +121,24 @@ class LiftTower:
     lifted_normals: tuple[tuple[Vector, ...], ...]
 
 
-def build_tower(
-    p: Polytope,
-    j_max: int,
-    *,
-    level_cap: int = DEFAULT_TOWER_CAP,
-    verify_dim_cap: int = DEFAULT_VERIFY_DIM_CAP,
-) -> LiftTower:
-    """Lift ``p`` through ``j_max`` levels, checking every exact invariant
-    the current dimension makes affordable.
+def build_tower(p: Polytope, j_max: int) -> LiftTower:
+    """Lift ``p`` through ``j_max`` levels (at most
+    :data:`DEFAULT_TOWER_CAP`), checking every exact invariant the current
+    dimension makes affordable.
 
     At every level: facets certified by :func:`pyramid_lift`, and the side
     normals reached by stepwise lifting equal to the closed form.  At
-    verified levels (ambient dim <= ``verify_dim_cap``) also: volume equal
-    to (n+j+1)/(n+1) vol(P), centroid exactly 0, lifted cone weights equal
-    to base cone weights, each re-derived from the triangulation.
+    verified levels (ambient dim <= :data:`DEFAULT_VERIFY_DIM_CAP`) also:
+    volume equal to (n+j+1)/(n+1) vol(P), centroid exactly 0, lifted cone
+    weights equal to base cone weights, each re-derived from the
+    triangulation.
     """
     require_centered(p)
     if j_max < 0:
         raise ValueError("level count must be nonnegative")
-    if j_max > level_cap:
+    if j_max > DEFAULT_TOWER_CAP:
         raise CapExceeded(
-            f"{j_max} levels > cap {level_cap}; "
+            f"{j_max} levels > cap {DEFAULT_TOWER_CAP}; "
             "pass fewer with --levels (j_max in the library)"
         )
     n = p.dim
@@ -158,7 +153,7 @@ def build_tower(
         if not set(closed) <= set(current.normals):
             raise TheoremViolation("stepwise lift disagrees with closed form")
         expected_vol = Fraction(n + j + 1, n + 1) * base_vol
-        verified = n + j <= verify_dim_cap
+        verified = n + j <= DEFAULT_VERIFY_DIM_CAP
         if verified:
             if volume(current) != expected_vol:
                 raise TheoremViolation("lift volume scaling broken")

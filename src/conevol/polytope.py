@@ -29,15 +29,17 @@ read back through :func:`polar`.
 Every polytope is built by one constructor, :func:`_assemble`, from rows:
 a hull from its extreme points and double-description facets; a translate,
 a polar and a pyramid lift (:mod:`conevol.lifting`) from the rows of their
-parent.  Incidence, validation, the rank certificates, volume, centroid and
-cone volumes all run on those rows, every rank and determinant through the
-kernel's forward fraction-free pass.  Each result becomes a Fraction once,
+parent.  The two that read outside input, :func:`convex_hull` and
+:func:`from_reps`, always certify the result (:func:`_validate_polytope`).
+Incidence, the certificate, volume, centroid and cone volumes all run on
+those rows, every rank and determinant through the kernel's forward
+fraction-free pass.  Each result becomes a Fraction once,
 at the end.
 
 Every face below a facet is a bit mask read from the incidence masks alone:
 the facets of a face are the inclusion-maximal nonempty intersections of
 its mask with the facet masks that do not contain it.  This face lattice is
-memoised on the polytope by mask and carries the ``full`` completeness
+memoised on the polytope by mask and carries the completeness
 certificate, the walk over every proper face that join detection reads,
 and the pulling triangulation: a face is coned from its lowest set bit over
 the triangulations of its facets that miss that vertex.  Volume and
@@ -77,6 +79,7 @@ from .kernel import (
     _extend,
     _forward,
     affine_hull,
+    as_fraction,
     canonical_rows,
     complementary,
     integer_row,
@@ -166,13 +169,13 @@ class Polytope:
     @cached_property
     def normals(self) -> tuple[Vector, ...]:
         """g / c (right-hand side 1) when the origin is interior, else g."""
-        if self.origin_interior:
+        if self.unit_rhs:
             return tuple(Vector(tuple(Fraction(x, c) for x in g)) for g, c in self.facet_rows)
         return tuple(Vector(tuple(map(Fraction, g))) for g, _ in self.facet_rows)
 
     @cached_property
     def rhs(self) -> tuple[Fraction, ...]:
-        if self.origin_interior:
+        if self.unit_rhs:
             return (ONE,) * len(self.facet_rows)
         return tuple(Fraction(c) for _, c in self.facet_rows)
 
@@ -181,13 +184,9 @@ class Polytope:
         return len(self.facet_rows)
 
     @cached_property
-    def origin_interior(self) -> bool:
-        return all(c > 0 for _, c in self.facet_rows)
-
-    @property
     def unit_rhs(self) -> bool:
         """The facets read ``<a_i, x> <= 1``: exactly when the origin is interior."""
-        return self.origin_interior
+        return all(c > 0 for _, c in self.facet_rows)
 
     @cached_property
     def centered(self) -> bool:
@@ -305,8 +304,6 @@ def _assemble(
     vertex_rows: Sequence[Sequence[int]],
     denominator: int,
     facet_rows: Iterable[tuple[tuple[int, ...], int]],
-    *,
-    validate: str = "full",
 ) -> Polytope:
     """The one constructor: the polytope of the vertex rows over
     ``denominator`` and the primitive facet rows (g, c).
@@ -315,15 +312,12 @@ def _assemble(
     deduplicated and sorted; the facet rows are deduplicated and put in
     canonical order (:func:`_canonical_facets`).  One pass over g . V_j
     against c D derives the incidence masks and rejects a vertex outside a
-    facet.
-    That is all ``trusted`` checks, for constructions proven complete (a
-    translate, a polar, a closed-form lift); it accepts an incomplete facet
-    list, and the volume read from it is then wrong without an error (the
-    3-cross-polytope less its first facet gives 7/6 instead of 4/3).
-    ``full`` adds the certificate of :func:`_validate_polytope`.
+    facet.  That is all it checks, enough for constructions proven complete
+    (a translate, a polar, a pyramid lift).  An incomplete facet list gives
+    a wrong volume without an error (the 3-cross-polytope less its first
+    facet: 7/6 instead of 4/3), so :func:`convex_hull` and
+    :func:`from_reps` add the certificate of :func:`_validate_polytope`.
     """
-    if validate not in ("trusted", "full"):
-        raise ValueError(f"unknown validation level: {validate}")
     k = gcd(denominator, *itertools.chain.from_iterable(vertex_rows))
     rows = sorted({tuple(x // k for x in row) for row in vertex_rows})
     if not rows:
@@ -343,16 +337,13 @@ def _assemble(
                 point = tuple(Fraction(x, scale) for x in v)
                 raise DegenerateInput(f"vertex {point} violates facet {g} . x <= {c}")
         masks.append(mask)
-    p = Polytope(tuple(rows), scale, facets, tuple(masks))
-    if validate == "full":
-        _validate_polytope(p)
-    return p
+    return Polytope(tuple(rows), scale, facets, tuple(masks))
 
 
 def _validate_polytope(p: Polytope) -> None:
-    """The ``full`` certificate: the facet rows of ``p`` describe exactly
-    the hull of its vertex rows, given the containment and incidence that
-    :func:`_assemble` derived.
+    """The completeness certificate: the facet rows of ``p`` describe
+    exactly the hull of its vertex rows, given the containment and
+    incidence that :func:`_assemble` derived.
 
     It checks the rank certificates (the vertices span dimension n, and
     each is a genuine vertex of the H-polytope), that each halfspace
@@ -611,7 +602,9 @@ def convex_hull(
         for j in _members(tight):
             meet[j] &= tight
     extreme = [row for j, row in enumerate(rows) if meet[j] == 1 << j]
-    return _assemble(extreme, scale, [(h[:n], -h[n]) for h in facets])
+    p = _assemble(extreme, scale, [(h[:n], -h[n]) for h in facets])
+    _validate_polytope(p)
+    return p
 
 
 def _polar_hull(h: HPolytope, *, dim_cap: int) -> Polytope:
@@ -626,7 +619,7 @@ def _polar_hull(h: HPolytope, *, dim_cap: int) -> Polytope:
     if not points or affine_hull(points).dim < h.dim:
         raise Unbounded("recession cone is nontrivial")
     hull = convex_hull(points, dim_cap=dim_cap)
-    if not hull.origin_interior:
+    if not hull.unit_rhs:
         raise Unbounded("recession cone is nontrivial")
     return polar(hull)
 
@@ -646,27 +639,27 @@ def from_reps(
     vertices: Sequence[Vector],
     normals: Sequence[Vector],
     rhs: Sequence[Fraction | int],
-    *,
-    validate: str = "full",
 ) -> Polytope:
-    """Build a polytope from externally known representations, running the
-    consistency certificate at the requested strictness.
+    """Build a polytope from externally known representations and certify
+    that they agree.
 
     The input is checked as :class:`VPolytope` and :class:`HPolytope` check
-    it, then turned into integer rows once.  ``validate="full"`` certifies
-    that the facet list is complete.  With ``trusted`` (containment only)
-    an incomplete list is accepted and :func:`volume` is then wrong without
-    an error: the 3-cross-polytope less its first facet gives 7/6 instead
-    of 4/3.
+    it, with exact right-hand sides only (:func:`~conevol.kernel.as_fraction`
+    refuses a float), then turned into integer rows once.  Besides
+    containment, :func:`_validate_polytope` certifies that every vertex is
+    one, every halfspace supports a facet and the facet list is complete,
+    so an incomplete list is refused rather than giving a wrong volume.
     """
     vertices = tuple(vertices)
     if not vertices:
         raise DegenerateInput("no vertices")
     v = VPolytope(vertices[0].dim, vertices)
-    h = HPolytope(v.dim, tuple(normals), tuple(Fraction(b) for b in rhs))
+    h = HPolytope(v.dim, tuple(normals), tuple(map(as_fraction, rhs)))
     rows, scale = _denominator_rows(v.vertices)
     facets = [_facet_row(integer_row(a.coords + (b,))) for a, b in zip(h.normals, h.rhs)]
-    return _assemble(rows, scale, facets, validate=validate)
+    p = _assemble(rows, scale, facets)
+    _validate_polytope(p)
+    return p
 
 
 def translate(p: Polytope, t: Vector) -> Polytope:
@@ -676,7 +669,7 @@ def translate(p: Polytope, t: Vector) -> Polytope:
     Write t = T / E with T integer and E the least common denominator.
     Vertex j of the result is V_j / D + T / E, and facet (g, c) becomes the
     primitive row of (E g, E c + g . T); :func:`_assemble` builds the
-    result at the ``trusted`` level.  Adding t keeps the lexicographic
+    result with no certificate.  Adding t keeps the lexicographic
     vertex order and each facet's vertex set, and the derived incidence
     must say so (equal sets of facet masks), else :class:`TheoremViolation`.
     Then the memoised facet lists, triangulations and faces, which are
@@ -692,7 +685,6 @@ def translate(p: Polytope, t: Vector) -> Polytope:
         [[a * x + b * y for x, y in zip(row, shift)] for row in p.vertex_rows],
         common,
         [_facet_row([e * x for x in g] + [e * c + sum(map(mul, g, shift))]) for g, c in p.facet_rows],
-        validate="trusted",
     )
     if set(q.masks) != set(p.masks):
         raise TheoremViolation("a translate changed the vertex sets of the facets")
@@ -710,10 +702,6 @@ def translate_to_centroid(p: Polytope) -> Polytope:
     return translate(p, -c)
 
 
-def is_centered(p: Polytope) -> bool:
-    return p.centered
-
-
 def polar(p: Polytope) -> Polytope:
     """The polar body: vertices and facet normals swap roles exactly.
 
@@ -722,8 +710,7 @@ def polar(p: Polytope) -> Polytope:
     multiple L of every c, which is the key :func:`_canonical_facets` sorts
     the facets of ``p`` by; its facets are the primitive rows of (V_j, D).
     Both lists are sorted lexicographically, so indices align: vertex ``i``
-    of the polar is normal ``i`` of ``p`` and incidence transposes.  Built
-    at the ``trusted`` level.
+    of the polar is normal ``i`` of ``p`` and incidence transposes.
     """
     if not p.unit_rhs:
         raise OriginNotInterior("polar needs the origin strictly inside (unit rhs form)")
@@ -732,7 +719,6 @@ def polar(p: Polytope) -> Polytope:
         [[x * (common // c) for x in g] for g, c in p.facet_rows],
         common,
         [_facet_row(row + (p.denominator,)) for row in p.vertex_rows],
-        validate="trusted",
     )
 
 
@@ -749,11 +735,12 @@ def section_profile_q(p: Polytope, u: Vector, t: Fraction | int) -> Fraction:
     ``t u`` orthogonal to ``u``; q is its (n-1)-volume divided by |u|.  That
     quotient is rational: projecting the section along a coordinate axis k
     with u_k != 0 scales (n-1)-volume by |u_k| / |u|, so q equals the
-    projected volume divided by |u_k|.
+    projected volume divided by |u_k|.  ``t`` must be exact: a float raises
+    :class:`TypeError`.
     """
     if u.dim != p.dim or u.is_zero():
         raise ValueError("direction must be a nonzero vector of the ambient dimension")
-    t = Fraction(t)
+    t = as_fraction(t)
     c = t * u.dot(u)
     svals = [u.dot(v) for v in p.vertices]
     candidates: set[Vector] = set()

@@ -19,7 +19,6 @@ from conevol.errors import OriginNotInterior
 from conevol.kernel import vector
 from conevol.polytope import convex_hull, translate_to_centroid, volume
 from conevol.cone_measure import (
-    cone_volume,
     cone_volume_measure,
     pyramid_formula_check,
 )
@@ -40,22 +39,22 @@ def facet_index(p, normal):
 
 class TestConeVolume:
     def test_square_facet(self):
-        assert cone_volume(SQUARE, facet_index(SQUARE, v(1, 0))) == 1
+        assert cone_volume_measure(SQUARE).weight(facet_index(SQUARE, v(1, 0))) == 1
 
     def test_triangle_facet(self):
-        assert cone_volume(TRIANGLE, facet_index(TRIANGLE, v(1, 1))) == F(1, 2)
+        assert cone_volume_measure(TRIANGLE).weight(facet_index(TRIANGLE, v(1, 1))) == F(1, 2)
 
     def test_segment_facet(self):
-        assert cone_volume(SEGMENT, facet_index(SEGMENT, v(1))) == 1
+        assert cone_volume_measure(SEGMENT).weight(facet_index(SEGMENT, v(1))) == 1
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            cone_volume(SQUARE, 17)
+            cone_volume_measure(SQUARE).weight(17)
 
     def test_needs_origin_interior(self):
         shifted = convex_hull([v(0, 0), v(1, 0), v(0, 1)])
         with pytest.raises(OriginNotInterior):
-            cone_volume(shifted, 0)
+            cone_volume_measure(shifted).weight(0)
 
 
 class TestMeasure:

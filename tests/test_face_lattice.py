@@ -14,7 +14,7 @@ The frozenset lattice it replaced is kept here as an oracle, and both must
 read the same facets of every face, the same proper faces and the same
 simplices of every facet, with equal volume, centroid and measure.
 
-The ``full`` certificate reads every face dimension from the face lattice;
+The completeness certificate reads every face dimension from the face lattice;
 the certificate it replaced, which takes each one by an elimination, is
 kept here as its oracle.  Both visit facets and ridges in descending mask
 order, and must accept and reject the same inputs with the same message.
@@ -42,7 +42,7 @@ from conevol.polytope import (
     translate_to_centroid,
     volume,
 )
-from test_integer_rows import NAMED, SHIFTS, _shifted
+from test_integer_rows import NAMED, SHIFTS, _shifted, _uncertified
 
 
 def mask(face):
@@ -189,7 +189,7 @@ def test_pulling_triangulation_matches_projected_oracle(pts):
 
 
 def elimination_certificate(p):
-    """The former ``full`` certificate: each face dimension it checks is the
+    """The former completeness certificate: each face dimension it checks is the
     rank of the face's homogenized vertex rows, one elimination per face."""
     n = p.dim
     everything = frozenset(range(len(p.vertices)))
@@ -225,8 +225,8 @@ def certify_by_elimination(p, lattice, face, dim, done):
 
 
 def certificate_verdicts(vertices, normals, rhs):
-    """(library message, oracle message) of the ``full`` certificate on the
-    given representations; None where it accepts."""
+    """(library message, oracle message) of the completeness certificate
+    on the given representations; None where it accepts."""
 
     def verdict(check):
         try:
@@ -235,8 +235,8 @@ def certificate_verdicts(vertices, normals, rhs):
             return str(exc)
         return None
 
-    library = verdict(lambda: from_reps(vertices, normals, rhs, validate="full"))
-    oracle = verdict(lambda: elimination_certificate(from_reps(vertices, normals, rhs, validate="trusted")))
+    library = verdict(lambda: from_reps(vertices, normals, rhs))
+    oracle = verdict(lambda: elimination_certificate(_uncertified(vertices, normals, rhs)))
     return library, oracle
 
 
@@ -249,10 +249,10 @@ def redundant_halfspace(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_full_certificate_rejects_a_redundant_halfspace(n):
     vertices, normals, rhs = redundant_halfspace(n)
-    # containment and incidence agree, so trusted cannot see the extra row
-    from_reps(vertices, normals, rhs, validate="trusted")
+    # containment and incidence agree, so only the certificate sees the extra row
+    _uncertified(vertices, normals, rhs)
     with pytest.raises(DegenerateInput, match="does not support a facet"):
-        from_reps(vertices, normals, rhs, validate="full")
+        from_reps(vertices, normals, rhs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -294,10 +294,10 @@ def test_full_certificate_rejects_a_missing_facet(n):
     for drop in range(c.facet_count):
         normals = c.normals[:drop] + c.normals[drop + 1:]
         rhs = [1] * len(normals)
-        # containment and incidence still agree, so trusted cannot see the gap
-        from_reps(c.vertices, normals, rhs, validate="trusted")
+        # containment and incidence still agree, so only the certificate sees the gap
+        _uncertified(c.vertices, normals, rhs)
         with pytest.raises(DegenerateInput):
-            from_reps(c.vertices, normals, rhs, validate="full")
+            from_reps(c.vertices, normals, rhs)
 
 
 def test_pulling_triangulation_of_cube_facets():
@@ -335,10 +335,10 @@ def assert_lattice_matches_frozenset_oracle(p):
     for tight, fs in zip(p.incidence, p.facet_structure, strict=True):
         assert set(fs.simplices) == set(oracle.triangulate(tight))
     # the same sums over the oracle's simplices, on a fresh copy of p
-    q = from_reps(p.vertices, p.normals, p.rhs, validate="trusted")
+    q = _uncertified(p.vertices, p.normals, p.rhs)
     q.__dict__["facet_structure"] = tuple(_FacetStructure(oracle.triangulate(t)) for t in q.incidence)
     assert (volume(q), centroid(q)) == (volume(p), centroid(p))
-    if p.origin_interior:
+    if p.unit_rhs:
         assert cone_volume_measure(q) == cone_volume_measure(p)
 
 

@@ -13,6 +13,7 @@ c = (n c(F) + apex) / (n + 1) predicts the pyramid centroid.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction as F
 from math import factorial
 
@@ -20,7 +21,7 @@ import pytest
 
 from conevol.errors import CapExceeded, DegenerateInput, NotComplementary
 from conevol.kernel import Vector, affine_hull, unit_vector, vector
-from conevol.polytope import VPolytope, centroid, convex_hull, is_centered, polar, volume
+from conevol.polytope import VPolytope, centroid, convex_hull, from_reps, polar, volume
 from conevol.cone_measure import cone_volume_measure, pyramid_formula_check
 from conevol.concentration import affine_scc, detect_join_structure
 from conevol.generators import (
@@ -66,8 +67,16 @@ class TestCanonical:
         assert volume(c) == 8
         assert c.facet_count == 6
         assert len(c.vertices) == 8
-        assert is_centered(c)
+        assert c.centered
         assert cube(2).vertices == (v(-1, -1), v(-1, 1), v(1, -1), v(1, 1))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_hull_cube_equals_its_known_representations(self, n):
+        # the cube's known vertices and facets, certified by from_reps,
+        # are the oracle of the hull-built cube
+        signs = [vector(s) for s in itertools.product((-1, 1), repeat=n)]
+        normals = [u for k in range(n) for u in (-unit_vector(n, k), unit_vector(n, k))]
+        assert cube(n) == from_reps(signs, normals, [1] * (2 * n))
 
     def test_cross_is_polar_cube(self):
         for n in (2, 3, 4):
@@ -99,7 +108,7 @@ class TestPyramidOver:
     def test_square_base(self):
         p = pyramid_over(self.SQUARE_BASE, v(0, 0, 2))
         assert volume(p) == F(8, 3)
-        assert is_centered(p)
+        assert p.centered
         assert len(p.vertices) == 5
         # base facet flat attains equality in the affine bound
         base_facet = next(
@@ -112,7 +121,7 @@ class TestPyramidOver:
         base = VPolytope(2, (v(-1, 0), v(1, 0)))
         t = pyramid_over(base, v(0, 3))
         assert volume(t) == 3
-        assert is_centered(t)
+        assert t.centered
         assert len(t.vertices) == 3
 
     def test_apex_in_base_plane(self):
@@ -130,7 +139,7 @@ class TestPyramidOver:
 
     def test_off_center_apex(self):
         p = pyramid_over(self.SQUARE_BASE, v(F(1, 2), F(-1, 3), 1))
-        assert is_centered(p)
+        assert p.centered
         assert volume(p) == F(4, 3)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -170,7 +179,7 @@ class TestRandomCentered:
     def test_small_tetrahedron(self):
         p = random_centered(3, 4, 2)
         assert len(p.vertices) == 4
-        assert is_centered(p)
+        assert p.centered
 
     def test_needs_enough_points(self):
         with pytest.raises(ValueError):
@@ -190,7 +199,7 @@ class TestJoinCentered:
         j = join_centered(q1, q2)
         assert volume(j) == F(4, 3)
         assert len(j.vertices) == 4
-        assert is_centered(j)
+        assert j.centered
         assert detect_join_structure(j) is not None
 
     def test_triangle_join_point(self):
@@ -198,7 +207,7 @@ class TestJoinCentered:
         pt = VPolytope(3, (v(0, 0, -1),))
         j = join_centered(tri, pt)
         assert len(j.vertices) == 4
-        assert is_centered(j)
+        assert j.centered
         assert detect_join_structure(j) is not None
 
     def test_non_disjoint_hulls(self):
@@ -237,7 +246,7 @@ class TestGenerate:
     def test_outputs_centered_and_consistent(self, kind, dim):
         spec = GeneratorSpec(kind, dim, seed=5)
         p = generate(spec)
-        assert is_centered(p)
+        assert p.centered
         assert p.unit_rhs
         vol, total, ok = pyramid_formula_check(p)
         assert ok

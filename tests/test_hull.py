@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from conevol.errors import CapExceeded, DegenerateInput
 from conevol.generators import GeneratorSpec, centered_simplex, cross_polytope, cube, generate
 from conevol.kernel import ONE, Vector, integer_row, rank_of_rows, vector
+from conevol import polytope
 from conevol.polytope import _denominator_rows, _supporting_halfspaces, convex_hull
 from test_kernel import oracle_kernel_basis
 
@@ -150,3 +151,22 @@ def test_live_facet_cap():
     moment_curve = [vector([t**k for k in range(1, 7)]) for t in range(29)]
     with pytest.raises(CapExceeded, match="2900 facets, above the cap 2576"):
         convex_hull(moment_curve)
+
+
+def test_a_hull_short_of_a_facet_is_refused(monkeypatch):
+    # the double description's facets pass the completeness certificate: the
+    # octahedron less any one facet keeps every vertex, and its volume would
+    # read 7/6, 1 or 2/3 instead of 4/3
+    supporting = polytope._supporting_halfspaces
+    octahedron = [vector(s * (k == i) for i in range(3)) for k in range(3) for s in (-1, 1)]
+    for drop in range(8):
+
+        def short(rows, scale, drop=drop):
+            facets = supporting(rows, scale)
+            del facets[sorted(facets)[drop]]
+            return facets
+
+        with monkeypatch.context() as m:
+            m.setattr(polytope, "_supporting_halfspaces", short)
+            with pytest.raises(DegenerateInput):
+                convex_hull(octahedron)

@@ -19,7 +19,7 @@ from math import factorial, gcd, lcm
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conevol.cone_measure import cone_volume, cone_volume_measure
+from conevol.cone_measure import cone_volume_measure
 from conevol.errors import DegenerateInput, TheoremViolation
 from conevol.generators import centered_simplex, cross_polytope, cube
 from conevol.kernel import (
@@ -27,13 +27,18 @@ from conevol.kernel import (
     Matrix,
     Vector,
     affine_hull,
+    as_fraction,
     determinant,
+    integer_row,
     linear_span,
     rank_of_rows,
     vector,
     zero_vector,
 )
 from conevol.polytope import (
+    _assemble,
+    _denominator_rows,
+    _facet_row,
     centroid,
     convex_hull,
     face_dim,
@@ -45,6 +50,15 @@ from conevol.polytope import (
     volume,
 )
 from test_kernel import oracle_in_span, oracle_rref
+
+
+def _uncertified(vertices, normals, rhs):
+    """:func:`from_reps` less its certificate: the polytope that
+    :func:`_assemble` makes of the representations, which checks
+    containment and derives incidence, and nothing more."""
+    rows, scale = _denominator_rows(tuple(vertices))
+    facets = [_facet_row(integer_row(a.coords + (as_fraction(b),))) for a, b in zip(normals, rhs, strict=True)]
+    return _assemble(rows, scale, facets)
 
 
 def oracle_incidence(p):
@@ -156,7 +170,7 @@ def assert_matches_fraction_oracle(p):
     q = translate_to_centroid(p)
     assert q.incidence == oracle_incidence(q)
     weights = [oracle_cone_volume(q, i) for i in range(q.facet_count)]
-    assert [cone_volume(q, i) for i in range(q.facet_count)] == weights
+    assert [cone_volume_measure(q).weight(i) for i in range(q.facet_count)] == weights
     assert [w for _, w in cone_volume_measure(q).atoms] == weights
     dual = polar(q)
     assert dual.incidence == oracle_incidence(dual)
@@ -201,7 +215,7 @@ def fraction_translate(p, t):
     """The former translate: every vertex and right-hand side moved in
     Fractions, then canonicalized, with incidence derived afresh."""
     rhs = [b + a.dot(t) for a, b in zip(p.normals, p.rhs)]
-    return from_reps([q + t for q in p.vertices], p.normals, rhs, validate="trusted")
+    return _uncertified([q + t for q in p.vertices], p.normals, rhs)
 
 
 def translations(p):
@@ -238,13 +252,14 @@ def test_translate_of_mixed_denominator_clouds_matches_fraction_path(raw):
     assert_translate_matches_fraction_path(convex_hull(raw))
 
 
-@pytest.mark.parametrize("level", ["trusted", "full"])
+# the ids keep the test names stable: "trusted" is the uncertified build
+@pytest.mark.parametrize("build", [_uncertified, from_reps], ids=["trusted", "full"])
 @pytest.mark.parametrize("name", ["cube3", "cross3", "prism4", "grid2"])
-def test_a_violating_vertex_is_rejected(name, level):
+def test_a_violating_vertex_is_rejected(name, build):
     p = convex_hull(_shifted(NAMED[name], SHIFTS[2]))
     far = p.vertices[min(p.incidence[0])] + p.normals[0].scale(F(1, 3))
     with pytest.raises(DegenerateInput, match="violates facet"):
-        from_reps(list(p.vertices) + [far], p.normals, p.rhs, validate=level)
+        build(list(p.vertices) + [far], p.normals, p.rhs)
 
 
 @pytest.mark.parametrize("name", ["cube3", "cross4", "prism4", "grid2"])
@@ -252,19 +267,19 @@ def test_a_non_vertex_fails_the_rank_certificate(name):
     p = convex_hull(_shifted(NAMED[name], SHIFTS[3]))
     members = [p.vertices[j] for j in sorted(p.incidence[0])]
     mid = sum(members[1:], members[0]).scale(F(1, len(members)))
-    q = from_reps(list(p.vertices) + [mid], p.normals, p.rhs, validate="trusted")
+    q = _uncertified(list(p.vertices) + [mid], p.normals, p.rhs)
     assert min(oracle_vertex_ranks(q)) < q.dim
     with pytest.raises(DegenerateInput, match="is not a vertex"):
-        from_reps(list(p.vertices) + [mid], p.normals, p.rhs, validate="full")
+        from_reps(list(p.vertices) + [mid], p.normals, p.rhs)
 
 
-@pytest.mark.parametrize("level", ["trusted", "full"])
+@pytest.mark.parametrize("build", [_uncertified, from_reps], ids=["trusted", "full"])
 @pytest.mark.parametrize("name", ["cube3", "cross3", "prism4", "grid2"])
-def test_a_wrong_incidence_table_is_rejected(name, level):
+def test_a_wrong_incidence_table_is_rejected(name, build):
     # a translate carries the face lattice over only if its derived facet
     # vertex sets are its parent's
     hull = convex_hull(_shifted(NAMED[name], SHIFTS[3]))
-    p = from_reps(hull.vertices, hull.normals, hull.rhs, validate=level)
+    p = build(hull.vertices, hull.normals, hull.rhs)
     for i in range(p.facet_count):
         off = min(set(range(len(p.vertices))) - p.incidence[i])
         for wrong in (p.incidence[i] - {min(p.incidence[i])}, p.incidence[i] | {off}):

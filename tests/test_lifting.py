@@ -130,8 +130,8 @@ def _lift_with_edited_rows(monkeypatch, q, edit):
     row) before they are assembled."""
     assemble = lifting._assemble
 
-    def edited(vertex_rows, denominator, facet_rows, **kw):
-        return assemble(vertex_rows, denominator, edit(list(facet_rows)), **kw)
+    def edited(vertex_rows, denominator, facet_rows):
+        return assemble(vertex_rows, denominator, edit(list(facet_rows)))
 
     with monkeypatch.context() as m:
         m.setattr(lifting, "_assemble", edited)

@@ -32,7 +32,6 @@ from conevol.polytope import (
     face_dim,
     from_reps,
     h_to_v,
-    is_centered,
     is_pyramid,
     join,
     polar,
@@ -73,7 +72,7 @@ class TestConvexHull:
         p = convex_hull(TRI_VERTS)
         assert volume(p) == F(3, 2)
         assert centroid(p).is_zero()
-        assert is_centered(p)
+        assert p.centered
 
     def test_triangle_incidence(self):
         p = convex_hull(TRI_VERTS)
@@ -116,7 +115,7 @@ class TestUnitTriangle:
     def test_centroid(self):
         p = convex_hull([v(0, 0), v(1, 0), v(0, 1)])
         assert centroid(p) == v(F(1, 3), F(1, 3))
-        assert not p.origin_interior  # 0 is a vertex
+        assert not p.unit_rhs  # 0 is a vertex
 
     def test_translate_to_centroid(self):
         p = translate_to_centroid(convex_hull([v(0, 0), v(1, 0), v(0, 1)]))
@@ -189,18 +188,24 @@ class TestConversions:
         with pytest.raises(DegenerateInput):
             from_reps(p.vertices, p.normals[:2], p.rhs[:2])
 
-    @pytest.mark.parametrize("validate", ["trusted", "full"])
-    def test_from_reps_checks_its_input(self, validate):
+    def test_from_reps_checks_its_input(self):
         p = convex_hull(TRI_VERTS)
         verts, normals, rhs = list(p.vertices), list(p.normals), list(p.rhs)
         with pytest.raises(ValueError, match="vertex dimension"):
-            from_reps(verts + [v(0, 0, 0)], normals, rhs, validate=validate)
+            from_reps(verts + [v(0, 0, 0)], normals, rhs)
         with pytest.raises(ValueError, match="normal dimension"):
-            from_reps(verts, normals + [v(1)], rhs + [1], validate=validate)
+            from_reps(verts, normals + [v(1)], rhs + [1])
         with pytest.raises(DegenerateInput, match="zero normal vector"):
-            from_reps(verts, normals + [v(0, 0)], rhs + [1], validate=validate)
+            from_reps(verts, normals + [v(0, 0)], rhs + [1])
         with pytest.raises(ValueError):
-            from_reps(verts, normals, rhs[:-1], validate=validate)
+            from_reps(verts, normals, rhs[:-1])
+
+    def test_from_reps_refuses_a_float_rhs(self):
+        # 0.1 is no exact rational; 1.0 is one, but a float all the same
+        segment = [v(-1), v(1)]
+        for rhs in ([0.1, 1], [1.0, 1]):
+            with pytest.raises(TypeError, match="not an exact rational"):
+                from_reps(segment, [v(-1), v(1)], rhs)
 
 
 class TestVolumeCentroid:
@@ -363,6 +368,10 @@ class TestSections:
         assert section_profile_q(p, e1, 1) == 2  # boundary slice is the edge
         assert section_profile_q(p, e1, 2) == 0
         assert section_profile_q(p, e1, -2) == 0
+
+    def test_profile_refuses_a_float_height(self):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            section_profile_q(cube(2), v(1, 0), 0.1)
 
     def test_profile_direction_covariance(self):
         # the plane of (2u, t) is the plane of (u, 2t), and the 1/|u|
