@@ -346,14 +346,11 @@ def cmd_ispyramid(args: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_join(args: argparse.Namespace) -> tuple[str, int]:
     p, echo = _load_polytope(args)
-    # the round trip of join_detection_roundtrip, reusing the primal split
+    # join_detection_roundtrip's round trip, keeping the primal split's indices
     split = detect_join_structure(p)
     direct = split is not None
     via_polar = detect_join_structure(polar(translate_to_centroid(p))) is not None
-    sides = None
-    if split is not None:
-        index = {v: i for i, v in enumerate(p.vertices)}
-        sides = [[index[v] for v in side.vertices] for side in split]
+    sides = None if split is None else [list(side) for side in split]
     doc = {
         "tool": "conevol",
         "version": __version__,

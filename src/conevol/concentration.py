@@ -42,7 +42,6 @@ from .kernel import (
 )
 from .polytope import (
     Polytope,
-    VPolytope,
     _members,
     contains_point,
     face_dim,
@@ -342,13 +341,13 @@ def grunbaum_point_check(p: Polytope) -> bool:
 
 def detect_join_structure(
     p: Polytope,
-) -> tuple[VPolytope, VPolytope] | None:
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Split the vertex set across two complementary affine flats, if possible.
 
-    Returns the two vertex classes as V-polytopes, the class containing
-    vertex 0 first, or None when no such split exists.  With multiple splits
-    the one whose first class has the lexicographically smallest vertex tuple
-    wins, making the choice deterministic.
+    Returns the two vertex classes as ascending tuples of vertex indices,
+    the class containing vertex 0 first, or None when no such split exists.
+    With multiple splits the one whose first class has the lexicographically
+    smallest index tuple wins, making the choice deterministic.
 
     The splits are read from the face lattice.  Lemma: a split (F, G) of the
     vertices is a join split iff F is a proper face with dim F + dim G =
@@ -365,10 +364,8 @@ def detect_join_structure(
     splits = [(f, g) for f, g in sides if face_dim(p, f) + face_dim(p, g) == p.dim - 1]
     if not splits:
         return None
-    return tuple(
-        VPolytope(dim=p.dim, vertices=tuple(p.vertices[i] for i in side))
-        for side in min(splits)
-    )
+    first, second = min(splits)
+    return tuple(first), tuple(second)
 
 
 def join_detection_roundtrip(p: Polytope) -> tuple[bool, bool]:

@@ -29,7 +29,6 @@ from .kernel import Vector, vector
 from .lifting import LiftTower
 from .polytope import (
     DEFAULT_DIM_CAP,
-    HPolytope,
     Polytope,
     _polar_hull,
     convex_hull,
@@ -114,12 +113,7 @@ def polytope_from_json(
     rows = doc["normals"]
     if not isinstance(rows, Sequence) or not rows:
         raise DegenerateInput("\"normals\" must be a nonempty list")
-    h = HPolytope(
-        n,
-        tuple(parse_vector(r, n) for r in rows),
-        tuple(Fraction(1) for _ in rows),
-    )
-    return _polar_hull(h, dim_cap=dim_cap)
+    return _polar_hull([parse_vector(r, n) for r in rows], dim_cap=dim_cap)
 
 
 def measure_to_json(m: ConeVolumeMeasure) -> dict[str, Any]:

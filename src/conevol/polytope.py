@@ -22,9 +22,9 @@ common denominator once, and finds the facets by the double description
 method on those rows and bit-mask tight sets: it starts from the simplex on
 the greedy basis of the points, read from the kernel's canonical forms;
 further points are inserted one at a time, and each new facet combines an
-adjacent pair of facets the point splits.  Facet-form input with positive
-right-hand sides goes through polarity: the hull of the scaled normals,
-read back through :func:`polar`.
+adjacent pair of facets the point splits.  Facet-form input <a_i, x> <= 1
+goes through polarity: the hull of the normals a_i, read back through
+:func:`polar`.
 
 Every polytope is built by one constructor, :func:`_assemble`, from rows:
 a hull from its extreme points and double-description facets; a translate,
@@ -105,26 +105,6 @@ class VPolytope:
         for v in self.vertices:
             if v.dim != self.dim:
                 raise ValueError(f"vertex dimension {v.dim} != ambient {self.dim}")
-
-
-@dataclass(frozen=True)
-class HPolytope:
-    """Halfspace representation: rows <normals[i], x> <= rhs[i]."""
-
-    dim: int
-    normals: tuple[Vector, ...]
-    rhs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("ambient dimension must be at least 1")
-        if len(self.normals) != len(self.rhs):
-            raise ValueError("normals and rhs lengths differ")
-        for a in self.normals:
-            if a.dim != self.dim:
-                raise ValueError(f"normal dimension {a.dim} != ambient {self.dim}")
-            if a.is_zero():
-                raise DegenerateInput("zero normal vector")
 
 
 @dataclass(frozen=True)
@@ -558,13 +538,6 @@ def _supporting_halfspaces(points: Sequence[tuple[int, ...]], scale: int) -> dic
     return facets
 
 
-def v_to_h(v: VPolytope) -> HPolytope:
-    """Facet enumeration.  Unit right-hand sides when the origin is interior,
-    primitive-integer general form otherwise."""
-    p = convex_hull(v.vertices, dim_cap=v.dim)
-    return HPolytope(p.dim, p.normals, p.rhs)
-
-
 def _check_dim_cap(n: int, dim_cap: int) -> None:
     if n > dim_cap:
         raise CapExceeded(
@@ -607,32 +580,22 @@ def convex_hull(
     return p
 
 
-def _polar_hull(h: HPolytope, *, dim_cap: int) -> Polytope:
-    """The polytope {x : <a_i, x> <= b_i} for positive b_i, by polarity.
+def _polar_hull(normals: Sequence[Vector], *, dim_cap: int) -> Polytope:
+    """The polytope {x : <a_i, x> <= 1}, by polarity.
 
-    It is the polar of the hull of the points a_i / b_i, and it is bounded
-    exactly when the origin is interior to that hull.
+    It is the polar of the hull of the points a_i, and it is bounded
+    exactly when the origin is interior to that hull.  Raises
+    :class:`DegenerateInput` for a zero normal and :class:`Unbounded` when
+    the recession cone is nontrivial.
     """
-    if any(b <= 0 for b in h.rhs):
-        raise OriginNotInterior("facet form needs positive right-hand sides")
-    points = [a.scale(ONE / b) for a, b in zip(h.normals, h.rhs, strict=True)]
-    if not points or affine_hull(points).dim < h.dim:
+    if any(a.is_zero() for a in normals):
+        raise DegenerateInput("zero normal vector")
+    if affine_hull(normals).dim < normals[0].dim:
         raise Unbounded("recession cone is nontrivial")
-    hull = convex_hull(points, dim_cap=dim_cap)
+    hull = convex_hull(normals, dim_cap=dim_cap)
     if not hull.unit_rhs:
         raise Unbounded("recession cone is nontrivial")
     return polar(hull)
-
-
-def h_to_v(h: HPolytope, *, dim_cap: int = DEFAULT_DIM_CAP) -> VPolytope:
-    """Vertex enumeration for a bounded H-polytope with positive right-hand
-    sides (the origin strictly inside), by polarity.
-
-    Raises :class:`Unbounded` when the recession cone is nontrivial and
-    :class:`OriginNotInterior` for a non-positive right-hand side.
-    """
-    p = _polar_hull(h, dim_cap=dim_cap)
-    return VPolytope(p.dim, p.vertices)
 
 
 def from_reps(
@@ -643,20 +606,28 @@ def from_reps(
     """Build a polytope from externally known representations and certify
     that they agree.
 
-    The input is checked as :class:`VPolytope` and :class:`HPolytope` check
-    it, with exact right-hand sides only (:func:`~conevol.kernel.as_fraction`
-    refuses a float), then turned into integer rows once.  Besides
-    containment, :func:`_validate_polytope` certifies that every vertex is
-    one, every halfspace supports a facet and the facet list is complete,
-    so an incomplete list is refused rather than giving a wrong volume.
+    The vertices are checked as :class:`VPolytope` checks them, the normals
+    for their dimension and for zero, and the right-hand sides for count and
+    exactness (:func:`~conevol.kernel.as_fraction` refuses a float); then the
+    input becomes integer rows once.  Besides containment,
+    :func:`_validate_polytope` certifies that every vertex is one, every
+    halfspace supports a facet and the facet list is complete, so an
+    incomplete list is refused rather than giving a wrong volume.
     """
     vertices = tuple(vertices)
     if not vertices:
         raise DegenerateInput("no vertices")
     v = VPolytope(vertices[0].dim, vertices)
-    h = HPolytope(v.dim, tuple(normals), tuple(map(as_fraction, rhs)))
+    normals, rhs = tuple(normals), tuple(map(as_fraction, rhs))
+    if len(normals) != len(rhs):
+        raise ValueError("normals and rhs lengths differ")
+    for a in normals:
+        if a.dim != v.dim:
+            raise ValueError(f"normal dimension {a.dim} != ambient {v.dim}")
+        if a.is_zero():
+            raise DegenerateInput("zero normal vector")
     rows, scale = _denominator_rows(v.vertices)
-    facets = [_facet_row(integer_row(a.coords + (b,))) for a, b in zip(h.normals, h.rhs)]
+    facets = [_facet_row(integer_row(a.coords + (b,))) for a, b in zip(normals, rhs)]
     p = _assemble(rows, scale, facets)
     _validate_polytope(p)
     return p

@@ -13,6 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import conevol
 from conevol.cli import main
 from conevol.concentration import ConcentrationReport
 from conevol.kernel import linear_span, vector
@@ -370,3 +371,11 @@ class TestTopLevel:
         doc = json.loads(out)
         assert doc["input"]["source"] == str(path)
         assert len(doc["input"]["sha256"]) == 64
+
+    def test_all_names_the_public_surface(self):
+        assert len(set(conevol.__all__)) == len(conevol.__all__)
+        assert all(hasattr(conevol, name) for name in conevol.__all__)
+        namespace = {}
+        exec("from conevol import *", namespace)
+        namespace.pop("__builtins__")
+        assert set(namespace) == set(conevol.__all__)

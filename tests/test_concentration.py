@@ -227,6 +227,16 @@ class TestFullAudit:
         reports = full_audit(p)
         assert reports and all(r.slack >= 0 for r in reports)
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: cube(3), lambda: centered_simplex(3), lambda: random_centered(3, 8, 1)],
+        ids=["cube3", "simplex3", "random3"],
+    )
+    def test_max_flat_dim_is_clamped_below_the_dimension(self, make):
+        # only proper flats are audited: a flat of dimension n is the whole space
+        p = make()
+        assert full_audit(p, p.dim) == full_audit(p, p.dim + 3) == full_audit(p)
+
 
 class TestGrunbaum:
     def test_triangle_and_cube(self):
@@ -244,12 +254,8 @@ class TestGrunbaum:
 class TestJoinDetection:
     def test_triangle_splits(self):
         tri = make_triangle()
-        got = detect_join_structure(tri)
-        assert got is not None
-        q1, q2 = got
         # deterministic: vertex 0 side first, lexicographically least split
-        assert q1.vertices == (tri.vertices[0],)
-        assert q2.vertices == (tri.vertices[1], tri.vertices[2])
+        assert detect_join_structure(tri) == ((0,), (1, 2))
 
     def test_square_none(self):
         assert detect_join_structure(make_square()) is None
@@ -260,10 +266,9 @@ class TestJoinDetection:
                 [v(1, 1, 0), v(1, -1, 0), v(-1, 1, 0), v(-1, -1, 0), v(0, 0, 1)]
             )
         )
-        got = detect_join_structure(p)
-        assert got is not None
-        sizes = sorted((len(got[0].vertices), len(got[1].vertices)))
-        assert sizes == [1, 4]
+        # the apex sits between the base vertices in lexicographic order
+        assert p.vertices[2] == v(0, 0, F(3, 4))
+        assert detect_join_structure(p) == ((0, 1, 3, 4), (2,))
 
     def test_roundtrip_booleans(self):
         assert join_detection_roundtrip(make_triangle()) == (True, True)

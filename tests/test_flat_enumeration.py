@@ -41,7 +41,7 @@ from conevol.generators import (
     random_centered,
 )
 from conevol.kernel import AffineFlat, LinearSubspace, Vector, vector
-from conevol.polytope import VPolytope, convex_hull, polar, translate_to_centroid
+from conevol.polytope import convex_hull, polar, translate_to_centroid
 from test_kernel import oracle_canonical_rows, oracle_in_span, oracle_rref
 
 
@@ -95,13 +95,7 @@ def oracle_join_structure(p):
             continue
         first, second = (members, rest) if 0 in members else (rest, members)
         splits.append((tuple(sorted(first)), tuple(sorted(second))))
-    if not splits:
-        return None
-    first, second = min(splits)
-    return (
-        VPolytope(dim=p.dim, vertices=tuple(verts[i] for i in first)),
-        VPolytope(dim=p.dim, vertices=tuple(verts[i] for i in second)),
-    )
+    return min(splits, default=None)
 
 
 def _prism(n):

@@ -20,9 +20,9 @@ from conevol.errors import (
     TheoremViolation,
     Unbounded,
 )
+from conevol.jsonio import polytope_from_json
 from conevol.kernel import Vector, vector, unit_vector
 from conevol.polytope import (
-    HPolytope,
     VPolytope,
     _abs_det,
     _FacetStructure,
@@ -31,7 +31,6 @@ from conevol.polytope import (
     convex_hull,
     face_dim,
     from_reps,
-    h_to_v,
     is_pyramid,
     join,
     polar,
@@ -39,7 +38,6 @@ from conevol.polytope import (
     section_profile_q,
     translate,
     translate_to_centroid,
-    v_to_h,
     vertex_fan_volume_centroid,
     volume,
 )
@@ -134,49 +132,32 @@ class TestUnitTriangle:
 
 
 class TestConversions:
+    """V to H is the hull's facet enumeration; H to V is facet-form JSON,
+    whose rows <a_i, x> <= 1 are read back through polarity."""
+
     def test_v_to_h_square(self):
-        h = v_to_h(VPolytope(2, (v(1, 1), v(1, -1), v(-1, 1), v(-1, -1))))
-        assert set(h.normals) == {v(1, 0), v(-1, 0), v(0, 1), v(0, -1)}
-        assert all(b == 1 for b in h.rhs)
+        p = convex_hull((v(1, 1), v(1, -1), v(-1, 1), v(-1, -1)))
+        assert set(p.normals) == {v(1, 0), v(-1, 0), v(0, 1), v(0, -1)}
+        assert all(b == 1 for b in p.rhs)
 
     def test_h_to_v_square(self):
-        h = HPolytope(
-            2,
-            (v(1, 0), v(-1, 0), v(0, 1), v(0, -1)),
-            (F(1), F(1), F(1), F(1)),
-        )
-        out = h_to_v(h)
+        out = polytope_from_json({"dim": 2, "normals": [[1, 0], [-1, 0], [0, 1], [0, -1]]})
         assert set(out.vertices) == {v(1, 1), v(1, -1), v(-1, 1), v(-1, -1)}
 
     def test_h_to_v_unbounded_halfplane(self):
         with pytest.raises(Unbounded):
-            h_to_v(HPolytope(2, (v(1, 0),), (F(1),)))
+            polytope_from_json({"dim": 2, "normals": [[1, 0]]})
 
     def test_h_to_v_unbounded_slab(self):
         # bounded in x, free in y
-        h = HPolytope(2, (v(1, 0), v(-1, 0), v(0, 1)), (F(1), F(1), F(1)))
         with pytest.raises(Unbounded):
-            h_to_v(h)
+            polytope_from_json({"dim": 2, "normals": [[1, 0], [-1, 0], [0, 1]]})
 
     def test_h_to_v_redundant_rows_dropped(self):
-        h = HPolytope(
-            2,
-            (v(1, 0), v(-1, 0), v(0, 1), v(0, -1), v(1, 1)),
-            (F(1), F(1), F(1), F(1), F(5)),
-        )
-        out = h_to_v(h)
+        # the last row is x + y <= 5
+        normals = [[1, 0], [-1, 0], [0, 1], [0, -1], ["1/5", "1/5"]]
+        out = polytope_from_json({"dim": 2, "normals": normals})
         assert set(out.vertices) == {v(1, 1), v(1, -1), v(-1, 1), v(-1, -1)}
-
-    def test_h_to_v_positive_rhs(self):
-        # 2x <= 4 and -x <= 1 scale to the points 1/2 and -1, whose polar
-        # segment has the vertices -1 and 2
-        h = HPolytope(1, (v(2), v(-1)), (F(4), F(1)))
-        assert h_to_v(h).vertices == (v(-1), v(2))
-
-    def test_h_to_v_rejects_non_positive_rhs(self):
-        h = HPolytope(2, (v(1, 0), v(-1, 0), v(0, 1), v(0, -1)), (F(0), F(1), F(1), F(1)))
-        with pytest.raises(OriginNotInterior):
-            h_to_v(h)
 
     def test_from_reps_roundtrip_and_bad_rhs(self):
         p = convex_hull(TRI_VERTS)
