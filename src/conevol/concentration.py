@@ -9,10 +9,11 @@ inequalities are one bound, run by one code path:
     mass on the span of some normal rows  <=  rank / row width * vol(P),
 
 that is (dim L / n) vol(P) for a subspace L, ((dim A + 1) / (n + 1)) vol(P)
-for a flat A.  On equality, each :class:`ConcentrationReport` carries the
-span of the remaining rows as its witness when that span is complementary
-to the flat: a complete certificate for L (equality holds iff the normals
-split across L and a complement), an attempt for A.
+for a flat A.  A :class:`ConcentrationReport` keeps its flat as canonical
+integer rows and builds the flat object on first read.  On equality, it
+carries the span of the remaining rows as its witness when that span is
+complementary to the flat: a complete certificate for L (equality holds iff
+the normals split across L and a complement), an attempt for A.
 
 Equality cases of the affine inequality at the extremes are classified by
 :func:`equality_case_classification`: a facet's singleton flat attains the
@@ -26,9 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import NotCentered, OriginNotInterior, TheoremViolation, TooManyFacets
+from .errors import NotCentered, TheoremViolation, TooManyFacets
 from .kernel import (
     AffineFlat,
     LinearSubspace,
@@ -54,8 +56,8 @@ from .cone_measure import ConeVolumeMeasure, cone_volume_measure
 DEFAULT_FACET_CAP = 14
 
 Flat = AffineFlat | LinearSubspace
-# the report kind of each flat class, in the order full_audit reports them
-_KINDS = {AffineFlat: "affine", LinearSubspace: "linear"}
+# the flat class of each report kind, in the order full_audit reports them
+_FLATS = {"affine": AffineFlat, "linear": LinearSubspace}
 
 
 @dataclass(frozen=True)
@@ -74,17 +76,28 @@ class ConcentrationReport:
     Negative slack is a theorem violation for centered input; audits surface
     it in the report rather than raising so a full document can still be
     assembled and inspected.
+
+    The flat is kept as its kind, ambient dimension and canonical rows;
+    ``flat`` is built from them on first read, and ``flat_dim`` reads them.
     """
 
     kind: str  # "linear" | "affine"
-    flat: Flat
-    flat_dim: int
+    ambient_dim: int
+    rows: tuple[tuple[int, ...], ...]
     member_indices: frozenset[int]
     lhs: Fraction
     rhs: Fraction
     slack: Fraction
     equality: bool
     witness: ComplementWitness | None
+
+    @property
+    def flat_dim(self) -> int:
+        return len(self.rows) - _FLATS[self.kind].homogenizing
+
+    @cached_property
+    def flat(self) -> Flat:
+        return _FLATS[self.kind](self.ambient_dim, self.rows)
 
 
 def require_centered(p: Polytope) -> None:
@@ -114,13 +127,13 @@ def _check_facet_cap(p: Polytope, facet_cap: int) -> None:
         )
 
 
-def _normal_rows(p: Polytope, kind: type[Flat]) -> list[tuple[int, ...]]:
-    """The unit-rhs normals as integer rows of the flat class ``kind``,
+def _normal_rows(p: Polytope, flat_type: type[Flat]) -> list[tuple[int, ...]]:
+    """The unit-rhs normals as integer rows of the flat class ``flat_type``,
     read from the primitive facet rows (g, c): g, or (g, c) for an affine
     flat.  With the origin inside, the normal is g / c, and as (g, c) is
     primitive the least common denominator of g / c is c, so these are the
-    rows ``kind.row_of`` makes of the normals."""
-    return [g + (c,) * kind.homogenizing for g, c in p.facet_rows]
+    rows ``flat_type.row_of`` makes of the normals."""
+    return [g + (c,) * flat_type.homogenizing for g, c in p.facet_rows]
 
 
 def _flat_members(flat: Flat, rows: Sequence[Sequence[int]]) -> frozenset[int]:
@@ -129,12 +142,14 @@ def _flat_members(flat: Flat, rows: Sequence[Sequence[int]]) -> frozenset[int]:
 
 def _report(
     p: Polytope,
-    flat: Flat,
+    kind: str,
+    canonical: tuple[tuple[int, ...], ...],
     members: frozenset[int],
     measure: ConeVolumeMeasure,
     rows: Sequence[Sequence[int]],
 ) -> ConcentrationReport:
-    """The report for a flat whose normal members are known.
+    """The report for a flat of ``kind`` with canonical rows ``canonical``
+    whose normal members are known.
 
     ``rows`` are the normals as :func:`_normal_rows` of the flat's kind.
     One bound for both kinds: the mass on the span of some normal rows is
@@ -149,27 +164,28 @@ def _report(
     ``width * mass == rank * whole``, and lhs, rhs and slack are one
     Fraction each.
     """
+    flat_type = _FLATS[kind]
     dets = measure.dets
     mass = sum(map(dets.__getitem__, members))
     whole = sum(dets)
-    rank, width, scale = len(flat.rows), flat.width, measure.scale
+    rank, width, scale = len(canonical), p.dim + flat_type.homogenizing, measure.scale
     equality = width * mass == rank * whole
     witness = None
     if equality:
         # the homogenized normals span R^(n+1), so a proper affine flat
         # leaves some normal out and its complement has rows
         rest = [row for i, row in enumerate(rows) if i not in members]
-        complement = type(flat)(p.dim, canonical_rows(rest))
-        if complementary(flat, complement):
+        complement = flat_type(p.dim, canonical_rows(rest))
+        if complementary(flat_type(p.dim, canonical), complement):
             witness = ComplementWitness(
                 complement=complement,
                 member_indices=members,
                 complement_indices=frozenset(range(p.facet_count)) - members,
             )
     return ConcentrationReport(
-        kind=_KINDS[type(flat)],
-        flat=flat,
-        flat_dim=flat.dim,
+        kind=kind,
+        ambient_dim=p.dim,
+        rows=canonical,
         member_indices=members,
         lhs=Fraction(mass, scale),
         rhs=Fraction(rank * whole, width * scale),
@@ -179,9 +195,9 @@ def _report(
     )
 
 
-def _audit(p: Polytope, flat: Flat) -> ConcentrationReport:
+def _audit(p: Polytope, kind: str, flat: Flat) -> ConcentrationReport:
     rows = _normal_rows(p, type(flat))
-    return _report(p, flat, _flat_members(flat, rows), cone_volume_measure(p), rows)
+    return _report(p, kind, flat.rows, _flat_members(flat, rows), cone_volume_measure(p), rows)
 
 
 def linear_scc(
@@ -195,23 +211,19 @@ def linear_scc(
     """
     require_centered(p)
     if not isinstance(subspace, LinearSubspace):
-        vectors = list(subspace)
-        for i, x in enumerate(vectors):
-            if x.dim != p.dim:
-                raise ValueError(f"vector {i} has dimension {x.dim}, the polytope {p.dim}")
-        subspace = linear_span(vectors, p.dim)
+        subspace = linear_span(list(subspace), p.dim)
     if subspace.ambient_dim != p.dim:
         raise ValueError(
             f"subspace ambient dim {subspace.ambient_dim} != polytope dim {p.dim}"
         )
-    return _audit(p, subspace)
+    return _audit(p, "linear", subspace)
 
 
 def affine_scc(p: Polytope, flat: AffineFlat) -> ConcentrationReport:
     """Audit the affine subspace concentration inequality for a proper flat."""
     require_centered(p)
     require_proper_flat(p, flat)
-    return _audit(p, flat)
+    return _audit(p, "affine", flat)
 
 
 def _spanned_flats(
@@ -279,32 +291,6 @@ def _spanned_flats(
     return [(canonical, members) for members, canonical in found]
 
 
-def enumerate_normal_flats(
-    p: Polytope,
-    max_dim: int | None = None,
-    *,
-    facet_cap: int = DEFAULT_FACET_CAP,
-) -> list[AffineFlat]:
-    """Every affine flat of dim <= max_dim spanned by a subset of facet normals.
-
-    ``max_dim`` defaults to dim - 1 (the proper flats the affine inequality
-    ranges over); passing dim also yields the full-space hull.  The flat
-    count can grow like the number of normal subsets of size <= max_dim + 1,
-    so capped at ``facet_cap`` facets.  Deterministic order: ascending flat
-    dimension, then member index set.  The normals are the unit-rhs ones,
-    so the origin must be strictly inside.
-    """
-    _check_facet_cap(p, facet_cap)
-    if not p.unit_rhs:
-        raise OriginNotInterior("normal flats need the origin strictly inside")
-    if max_dim is None:
-        max_dim = p.dim - 1
-    if max_dim < 0:
-        return []
-    rows = _normal_rows(p, AffineFlat)
-    return [AffineFlat(p.dim, canonical) for canonical, _ in _spanned_flats(rows, max_dim + 1)]
-
-
 def full_audit(
     p: Polytope,
     max_flat_dim: int | None = None,
@@ -321,11 +307,11 @@ def full_audit(
         return []
     measure = cone_volume_measure(p)
     reports = []
-    for kind in _KINDS:
-        rows = _normal_rows(p, kind)
+    for kind, flat_type in _FLATS.items():
+        rows = _normal_rows(p, flat_type)
         reports += [
-            _report(p, kind(p.dim, canonical), members, measure, rows)
-            for canonical, members in _spanned_flats(rows, max_flat_dim + kind.homogenizing)
+            _report(p, kind, canonical, members, measure, rows)
+            for canonical, members in _spanned_flats(rows, max_flat_dim + flat_type.homogenizing)
         ]
     return reports
 
@@ -461,12 +447,13 @@ def equality_case_classification(p: Polytope) -> list[EqualityCase]:
     rows = _normal_rows(p, AffineFlat)
     cases = []
     for kind, members, expected, index in checks:
-        flat = AffineFlat(p.dim, canonical_rows([rows[i] for i in members]))
-        if kind == "pyramid_apex" and flat.dim != p.dim - 1:
+        canonical = canonical_rows([rows[i] for i in members])
+        # a hyperplane flat of R^n has n canonical rows of width n + 1
+        if kind == "pyramid_apex" and len(canonical) != p.dim:
             raise TheoremViolation(
                 f"{kind}: tight normals {sorted(members)} span no hyperplane flat"
             )
-        report = _report(p, flat, members, measure, rows)
+        report = _report(p, "affine", canonical, members, measure, rows)
         if report.equality != expected:
             raise TheoremViolation(
                 f"{kind}: equality at normals {sorted(members)} is {report.equality}, "

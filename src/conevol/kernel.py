@@ -22,8 +22,10 @@ need:
 
 A flat is stored as ``rows``: the reduced row echelon rows of its span,
 each written as its primitive integer multiple with a positive pivot
-entry.  Two flats of one kind are equal iff their rows are, which makes
-flats usable as dict keys and makes deduplication trivial.  The rational
+entry; the constructors reject rows in any other form, and the builders
+reject vectors of mixed dimensions.  Two flats of one kind are equal iff
+their rows are, which makes flats usable as dict keys and makes
+deduplication trivial.  The rational
 reduced row echelon basis is a derived view, ``basis``.
 """
 from __future__ import annotations
@@ -288,6 +290,9 @@ class _Span:
     def __post_init__(self) -> None:
         if any(len(row) != self.width for row in self.rows):
             raise ValueError(f"basis rows must have ambient_dim + {self.homogenizing} entries")
+        # contains, dim, equality and complementary read the canonical form
+        if canonical_rows(self.rows) != self.rows:
+            raise ValueError("basis rows are not in canonical form (see canonical_rows)")
 
     @property
     def width(self) -> int:
@@ -334,11 +339,19 @@ class AffineFlat(_Span):
             raise DegenerateInput("flat at infinity: no basis row has nonzero last coordinate")
 
 
+def _span_of(kind: type[_Span], vectors: Sequence[Vector], ambient_dim: int) -> _Span:
+    """The span of vectors of R^ambient_dim as a flat of ``kind``, in canonical form."""
+    for i, v in enumerate(vectors):
+        if v.dim != ambient_dim:
+            raise ValueError(f"vector {i} has dimension {v.dim}, expected {ambient_dim}")
+    return kind(ambient_dim, canonical_rows([kind.row_of(v) for v in vectors]))
+
+
 def affine_hull(points: Sequence[Vector]) -> AffineFlat:
     """Affine hull of a nonempty rational point set, in canonical form."""
     if not points:
         raise DegenerateInput("affine hull of an empty point set")
-    return AffineFlat(points[0].dim, canonical_rows([AffineFlat.row_of(p) for p in points]))
+    return _span_of(AffineFlat, points, points[0].dim)
 
 
 @dataclass(frozen=True)
@@ -351,7 +364,7 @@ class LinearSubspace(_Span):
 
 def linear_span(vectors: Sequence[Vector], ambient_dim: int) -> LinearSubspace:
     """Linear span of a (possibly empty) set of vectors, in canonical form."""
-    return LinearSubspace(ambient_dim, canonical_rows([LinearSubspace.row_of(v) for v in vectors]))
+    return _span_of(LinearSubspace, vectors, ambient_dim)
 
 
 def complementary(a: _Span, b: _Span) -> bool:

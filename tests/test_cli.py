@@ -16,7 +16,6 @@ import pytest
 import conevol
 from conevol.cli import main
 from conevol.concentration import ConcentrationReport
-from conevol.kernel import linear_span, vector
 
 
 SEGMENT_DOC = {"dim": 1, "vertices": [["-1"], ["1"]]}
@@ -159,8 +158,8 @@ class TestAudit:
         # wiring is tested by injection
         bad = ConcentrationReport(
             kind="affine",
-            flat=linear_span([vector((1, 0))], 2),
-            flat_dim=1,
+            ambient_dim=2,
+            rows=((1, 0, 0), (0, 0, 1)),
             member_indices=frozenset({0}),
             lhs=F(2),
             rhs=F(1),

@@ -16,9 +16,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from conevol.errors import NotCentered, OriginNotInterior, TheoremViolation, TooManyFacets
-from conevol.kernel import affine_hull, linear_span, vector
-from conevol.generators import GeneratorSpec, centered_simplex, cube, generate
+from conevol.errors import NotCentered, TheoremViolation, TooManyFacets
+import conevol.kernel as kernel
+from conevol.kernel import AffineFlat, affine_hull, linear_span, vector
+from conevol.generators import GeneratorSpec, centered_simplex, cube, generate, random_centered
+from conevol.jsonio import report_to_json
 from conevol.polytope import (
     convex_hull,
     face_dim,
@@ -34,7 +36,6 @@ from conevol.concentration import (
     _proper_faces_of_simple,
     affine_scc,
     detect_join_structure,
-    enumerate_normal_flats,
     equality_case_classification,
     full_audit,
     grunbaum_point_check,
@@ -104,7 +105,7 @@ class TestLinear:
     def test_accepts_prebuilt_subspace(self):
         sub = linear_span([v(0, 1)], 2)
         rep = linear_scc(make_square(), sub)
-        assert rep.equality and rep.flat is sub
+        assert rep.equality and rep.flat == sub
 
     def test_not_centered(self):
         p = translate(make_square(), v(F(1, 3), 0))
@@ -112,7 +113,7 @@ class TestLinear:
             linear_scc(p, [v(1, 0)])
 
     def test_vector_of_another_dimension_is_named(self):
-        message = "vector 1 has dimension 3, the polytope 2"
+        message = "vector 1 has dimension 3, expected 2"
         with pytest.raises(ValueError, match=re.escape(message)):
             linear_scc(make_square(), [v(0, 1), v(1, 0, 0)])
 
@@ -158,17 +159,31 @@ class TestAffine:
         big = affine_scc(tri, affine_hull([v(1, 1), v(-2, 1)]))
         assert small.lhs <= big.lhs
 
+    def test_line_x_equals_one_holds_its_normal(self):
+        # the line x = 1 holds the normal (1, 0) of the square's facet 3,
+        # whose cone weight is 1; its rows ((1, 1, 1), (1, 0, 1)) are not
+        # canonical, and a flat of them is refused rather than audited
+        rep = affine_scc(cube(2), affine_hull([v(1, 1), v(1, 0)]))
+        assert (rep.member_indices, rep.lhs) == (frozenset({3}), 1)
+        with pytest.raises(ValueError, match="canonical form"):
+            affine_scc(cube(2), AffineFlat(2, ((1, 1, 1), (1, 0, 1))))
+
+
+def affine_reports(p, max_flat_dim=None, **kwargs):
+    return [r for r in full_audit(p, max_flat_dim, **kwargs) if r.kind == "affine"]
+
 
 class TestEnumeration:
+    # the normal-spanned affine flats, read from full_audit's affine reports;
+    # the whole-space flat is covered by test_spanned_flats_match_subset_scan
     def test_triangle_closure_counts(self):
         tri = make_triangle()
-        flats = enumerate_normal_flats(tri, 2)
-        assert [f.dim for f in flats] == [0, 0, 0, 1, 1, 1, 2]
-        assert [f.dim for f in enumerate_normal_flats(tri, 0)] == [0, 0, 0]
+        assert [r.flat_dim for r in affine_reports(tri)] == [0, 0, 0, 1, 1, 1]
+        assert [r.flat_dim for r in affine_reports(tri, 0)] == [0, 0, 0]
 
     def test_square_pair_count_matches_brute_force(self):
         sq = make_square()
-        flats = enumerate_normal_flats(sq, 1)
+        flats = affine_reports(sq)
         assert len(flats) == 10  # 4 singletons + 6 lines, no collinear merges
         # brute force: distinct member sets over all nonempty subsets
         seen = set()
@@ -182,14 +197,15 @@ class TestEnumeration:
                 )
                 seen.add(members)
         assert len(seen) == 10
+        assert {r.member_indices for r in flats} == seen
 
     def test_cube_coordinate_planes_merge(self):
         # coordinate planes absorb 4 of the 6 normals each; sign planes hold 3
         c = make_cube3()
-        flats = enumerate_normal_flats(c, 2)
-        assert len([f for f in flats if f.dim == 0]) == 6
-        assert len([f for f in flats if f.dim == 1]) == 15
-        planes = [f for f in flats if f.dim == 2]
+        flats = affine_reports(c)
+        assert len([r for r in flats if r.flat_dim == 0]) == 6
+        assert len([r for r in flats if r.flat_dim == 1]) == 15
+        planes = [r.flat for r in flats if r.flat_dim == 2]
         assert len(planes) == 11
         four = [
             f for f in planes if sum(f.contains(a) for a in c.normals) == 4
@@ -199,11 +215,11 @@ class TestEnumeration:
     def test_facet_cap(self):
         tri = make_triangle()
         with pytest.raises(TooManyFacets):
-            enumerate_normal_flats(tri, 1, facet_cap=2)
+            full_audit(tri, facet_cap=2)
 
-    def test_needs_origin_interior(self):
-        with pytest.raises(OriginNotInterior):
-            enumerate_normal_flats(convex_hull([v(0, 0), v(1, 0), v(0, 1)]))
+    def test_needs_centered(self):
+        with pytest.raises(NotCentered):
+            full_audit(convex_hull([v(0, 0), v(1, 0), v(0, 1)]))
 
 
 class TestFullAudit:
@@ -442,9 +458,9 @@ def test_classification_member_sets_match_membership(monkeypatch):
     real_report = concentration._report
     passed = []
 
-    def recording_report(p, flat, members, measure, rows):
-        passed.append((flat, members))
-        return real_report(p, flat, members, measure, rows)
+    def recording_report(p, kind, canonical, members, measure, rows):
+        passed.append((AffineFlat(p.dim, canonical), members))
+        return real_report(p, kind, canonical, members, measure, rows)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("classification re-audits a flat")
@@ -464,6 +480,34 @@ def test_classification_member_sets_match_membership(monkeypatch):
             kinds.add(case.kind)
             assert case.report == affine_scc(p, case.report.flat)
     assert kinds == {"pyramid_base", "pyramid_apex", "simplex_face"}
+
+
+def test_reports_build_their_flat_only_when_read(monkeypatch):
+    # a report keeps its canonical rows: a whole audit written as JSON builds
+    # no flat object unless an equality needs its flat and complement
+    built = []
+    real_post_init = kernel._Span.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        real_post_init(self)
+
+    p = random_centered(3, 8, 1)
+    with monkeypatch.context() as m:
+        m.setattr(kernel._Span, "__post_init__", counting_post_init)
+        reports = full_audit(p)
+        [report_to_json(r) for r in reports]
+        assert len(reports) == 104 and not any(r.equality for r in reports)
+        assert built == []
+        cube_reports = full_audit(make_cube3())
+        [report_to_json(r) for r in cube_reports]
+        equalities = sum(r.equality for r in cube_reports)
+        assert equalities == 6 and len(built) == 2 * equalities
+    for r in reports:
+        assert r.flat is r.flat
+        audit = affine_scc if r.kind == "affine" else linear_scc
+        assert r.flat == audit(p, r.flat).flat
+        assert r.flat_dim == r.flat.dim
 
 
 class TestPolarInteraction:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 from conevol.errors import DegenerateInput
 from conevol.kernel import (
     AffineFlat,
+    LinearSubspace,
     Matrix,
     Vector,
     affine_hull,
@@ -193,6 +195,25 @@ class TestAffineFlat:
         with pytest.raises(DegenerateInput):
             AffineFlat(2, ((1, 0, 0),))
 
+    def test_rows_not_in_canonical_form_rejected(self):
+        # the line x = 1 as two rows off its reduced row echelon form, read
+        # as canonical, would miss (1, 0), whose row (1, 0, 1) is one of them
+        with pytest.raises(ValueError, match="canonical form"):
+            AffineFlat(2, ((1, 1, 1), (1, 0, 1)))
+        line = affine_hull([vector([1, 1]), vector([1, 0])])
+        assert line.contains(vector([1, 0])) and AffineFlat(2, line.rows) == line
+        # the point (1, 0) as a row that is not primitive would compare
+        # unequal to the same point built by affine_hull
+        with pytest.raises(ValueError, match="canonical form"):
+            AffineFlat(2, ((2, 0, 2),))
+        assert AffineFlat(2, ((1, 0, 1),)) == affine_hull([vector([1, 0])])
+
+    def test_points_of_mixed_dimensions_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("vector 1 has dimension 2, expected 1")):
+            affine_hull([vector([1]), vector([1, 0])])
+        with pytest.raises(ValueError, match=re.escape("vector 2 has dimension 1, expected 2")):
+            affine_hull([vector([1, 0]), vector([2, 0]), vector([5])])
+
     def test_membership_matches_affine_combination_oracle(self):
         rng = random.Random(20260822)
         dims = [2, 3, 4]
@@ -278,6 +299,17 @@ class TestLinearSubspace:
         a = linear_span([vector([2, 2])], 2)
         b = linear_span([vector([-5, -5])], 2)
         assert a == b
+
+    def test_rows_not_in_canonical_form_rejected(self):
+        # a row that is not primitive, a zero row, rows out of pivot order
+        for rows in (((2, 2),), ((0, 0),), ((0, 1), (1, 0))):
+            with pytest.raises(ValueError, match="canonical form"):
+                LinearSubspace(2, rows)
+        assert LinearSubspace(2, ((1, 1),)) == linear_span([vector([2, 2])], 2)
+
+    def test_vectors_of_another_dimension_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("vector 1 has dimension 3, expected 2")):
+            linear_span([vector([1, 0]), vector([1, 0, 0])], 2)
 
 
 class TestVectorBasics:
