@@ -21,9 +21,10 @@ from typing import Any
 from . import __version__
 from .concentration import (
     DEFAULT_FACET_CAP,
+    _audit_bound,
+    _kind_reports,
     detect_join_structure,
     equality_case_classification,
-    full_audit,
 )
 from .cone_measure import cone_volume_measure
 from .errors import DegenerateInput, GeometryError, NotCentered, TheoremViolation
@@ -220,13 +221,9 @@ def cmd_audit(args: argparse.Namespace) -> tuple[str, int]:
         raise ValueError(f"--max-flat-dim must be nonnegative, got {args.max_flat_dim}")
     p, echo = _load_polytope(args)
     p = _require_centered_input(p, args, echo)
-    # the bound that runs: full_audit clamps to proper flats
-    max_flat_dim = p.dim - 1 if args.max_flat_dim is None else min(args.max_flat_dim, p.dim - 1)
-    reports = [
-        r
-        for r in full_audit(p, max_flat_dim, facet_cap=args.facet_cap)
-        if r.kind in args.kinds
-    ]
+    # full_audit's checks and bound, then the walks of the requested kinds alone
+    max_flat_dim = _audit_bound(p, args.max_flat_dim, args.facet_cap)
+    reports = [r for kind in args.kinds for r in _kind_reports(p, kind, max_flat_dim)]
     cases = equality_case_classification(p)
     violated = any(r.slack < 0 for r in reports)
     code = 3 if violated else 0

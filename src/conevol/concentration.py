@@ -56,6 +56,7 @@ from .cone_measure import ConeVolumeMeasure, cone_volume_measure
 DEFAULT_FACET_CAP = 14
 
 Flat = AffineFlat | LinearSubspace
+Rows = tuple[tuple[int, ...], ...]  # a flat's canonical rows
 # the flat class of each report kind, in the order full_audit reports them
 _FLATS = {"affine": AffineFlat, "linear": LinearSubspace}
 
@@ -83,7 +84,7 @@ class ConcentrationReport:
 
     kind: str  # "linear" | "affine"
     ambient_dim: int
-    rows: tuple[tuple[int, ...], ...]
+    rows: Rows
     member_indices: frozenset[int]
     lhs: Fraction
     rhs: Fraction
@@ -119,12 +120,16 @@ def require_proper_flat(p: Polytope, flat: AffineFlat) -> None:
         raise ValueError("flat must be proper (dim < ambient dim)")
 
 
-def _check_facet_cap(p: Polytope, facet_cap: int) -> None:
+def _audit_bound(p: Polytope, max_flat_dim: int | None, facet_cap: int) -> int:
+    """The checks before any walk, the facet cap and then centering; returns
+    the flat dimension bound that runs, clamped to proper flats (dim - 1)."""
     if p.facet_count > facet_cap:
         raise TooManyFacets(
             f"{p.facet_count} facets > cap {facet_cap}; "
             "raise it with --facet-cap (facet_cap= in the library)"
         )
+    require_centered(p)
+    return p.dim - 1 if max_flat_dim is None else min(max_flat_dim, p.dim - 1)
 
 
 def _normal_rows(p: Polytope, flat_type: type[Flat]) -> list[tuple[int, ...]]:
@@ -140,12 +145,21 @@ def _flat_members(flat: Flat, rows: Sequence[Sequence[int]]) -> frozenset[int]:
     return frozenset(i for i, row in enumerate(rows) if _in_span(flat.rows, row))
 
 
+def _weigh(
+    width: int, canonical: Rows, members: frozenset[int], dets: Sequence[int], whole: int
+) -> tuple[int, bool]:
+    """The members' integer mass and whether it attains the bound: width * mass == rank * whole."""
+    mass = sum(map(dets.__getitem__, members))
+    return mass, width * mass == len(canonical) * whole
+
+
 def _report(
     p: Polytope,
     kind: str,
-    canonical: tuple[tuple[int, ...], ...],
+    canonical: Rows,
     members: frozenset[int],
     measure: ConeVolumeMeasure,
+    whole: int,
     rows: Sequence[Sequence[int]],
 ) -> ConcentrationReport:
     """The report for a flat of ``kind`` with canonical rows ``canonical``
@@ -159,17 +173,13 @@ def _report(
     complementary to the flat; for a linear subspace that witness is
     decisive, for an affine flat it is an attempt.
 
-    The sums run on the measure's integer weights over its common scale:
-    with mass the members' sum and whole the sum of all, equality is
-    ``width * mass == rank * whole``, and lhs, rhs and slack are one
-    Fraction each.
+    The sums run on the measure's integer weights over its common scale
+    (:func:`_weigh`), with ``whole`` the sum of all, read once per audit;
+    lhs, rhs and slack are one Fraction each.
     """
-    flat_type = _FLATS[kind]
-    dets = measure.dets
-    mass = sum(map(dets.__getitem__, members))
-    whole = sum(dets)
-    rank, width, scale = len(canonical), p.dim + flat_type.homogenizing, measure.scale
-    equality = width * mass == rank * whole
+    flat_type, rank, scale = _FLATS[kind], len(canonical), measure.scale
+    width = p.dim + flat_type.homogenizing
+    mass, equality = _weigh(width, canonical, members, measure.dets, whole)
     witness = None
     if equality:
         # the homogenized normals span R^(n+1), so a proper affine flat
@@ -196,8 +206,8 @@ def _report(
 
 
 def _audit(p: Polytope, kind: str, flat: Flat) -> ConcentrationReport:
-    rows = _normal_rows(p, type(flat))
-    return _report(p, kind, flat.rows, _flat_members(flat, rows), cone_volume_measure(p), rows)
+    rows, measure = _normal_rows(p, type(flat)), cone_volume_measure(p)
+    return _report(p, kind, flat.rows, _flat_members(flat, rows), measure, sum(measure.dets), rows)
 
 
 def linear_scc(
@@ -228,12 +238,12 @@ def affine_scc(p: Polytope, flat: AffineFlat) -> ConcentrationReport:
 
 def _spanned_flats(
     rows: Sequence[Sequence[int]], max_size: int
-) -> list[tuple[tuple[tuple[int, ...], ...], frozenset[int]]]:
+) -> list[tuple[Rows, frozenset[int]]]:
     """Every distinct span of at most ``max_size`` of the integer rows, as
     its canonical rows with its member index set, sorted by (rank, member
     tuple).
 
-    A depth-first walk over index-increasing subsets on the integer rows.
+    A depth-first walk, from a stack, over index-increasing subsets of rows.
     ``table`` holds the fraction-free (Bareiss) elimination of the row
     matrix, one column per row, restricted to the coordinates not yet used
     as pivots: a row lies in the span of the current subset iff its column
@@ -253,32 +263,12 @@ def _spanned_flats(
     """
     count = len(rows)
     everyone = frozenset(range(count))
-    found: list[tuple[frozenset[int], tuple[tuple[int, ...], ...]]] = []
+    found: list[tuple[frozenset[int], Rows]] = []
 
     def zero_columns(table: list[list[int]]) -> frozenset[int]:
         if not table:
             return everyone
         return frozenset(x for x, col in enumerate(zip(*table)) if not any(col))
-
-    def walk(
-        last: int,
-        canonical: tuple[tuple[int, ...], ...],
-        members: frozenset[int],
-        table: list[list[int]],
-        prev: int,
-    ) -> None:
-        for j in range(last + 1, count):
-            if j in members:
-                continue
-            r = next(i for i, row in enumerate(table) if row[j])
-            child = _eliminate(table[:r] + table[r + 1 :], table[r], j, prev)
-            grown = zero_columns(child)
-            if min(grown - members) < j:
-                continue
-            extended = _extend(canonical, rows[j])
-            found.append((grown, extended))
-            if len(extended) < max_size:
-                walk(j, extended, grown, child, table[r][j])
 
     if max_size > 0:
         table = [list(col) for col in zip(*rows)]
@@ -286,7 +276,22 @@ def _spanned_flats(
         if zeros:
             # zero rows (never homogenized ones) span the zero subspace
             found.append((zeros, ()))
-        walk(-1, (), zeros, table, 1)
+        # (last index, canonical rows, members, table, previous pivot)
+        stack = [(-1, (), zeros, table, 1)]
+        while stack:
+            last, canonical, members, table, prev = stack.pop()
+            for j in range(last + 1, count):
+                if j in members:
+                    continue
+                r = next(i for i, row in enumerate(table) if row[j])
+                child = _eliminate(table[:r] + table[r + 1 :], table[r], j, prev)
+                grown = zero_columns(child)
+                if min(grown - members) < j:
+                    continue
+                extended = _extend(canonical, rows[j])
+                found.append((grown, extended))
+                if len(extended) < max_size:
+                    stack.append((j, extended, grown, child, table[r][j]))
     found.sort(key=lambda pair: (len(pair[1]), tuple(sorted(pair[0]))))
     return [(canonical, members) for members, canonical in found]
 
@@ -298,22 +303,18 @@ def full_audit(
     facet_cap: int = DEFAULT_FACET_CAP,
 ) -> list[ConcentrationReport]:
     """Audit every normal-spanned flat: affine reports first, then linear."""
-    _check_facet_cap(p, facet_cap)
-    require_centered(p)
-    if max_flat_dim is None:
-        max_flat_dim = p.dim - 1
-    max_flat_dim = min(max_flat_dim, p.dim - 1)
-    if max_flat_dim < 0:
-        return []
-    measure = cone_volume_measure(p)
-    reports = []
-    for kind, flat_type in _FLATS.items():
-        rows = _normal_rows(p, flat_type)
-        reports += [
-            _report(p, kind, canonical, members, measure, rows)
-            for canonical, members in _spanned_flats(rows, max_flat_dim + flat_type.homogenizing)
-        ]
-    return reports
+    max_flat_dim = _audit_bound(p, max_flat_dim, facet_cap)
+    return [r for kind in _FLATS for r in _kind_reports(p, kind, max_flat_dim)]
+
+
+def _kind_reports(p: Polytope, kind: str, max_flat_dim: int) -> list[ConcentrationReport]:
+    """The reports of one walk: the flats of ``kind`` up to ``max_flat_dim``."""
+    flat_type, measure = _FLATS[kind], cone_volume_measure(p)
+    rows, whole = _normal_rows(p, flat_type), sum(measure.dets)
+    return [
+        _report(p, kind, canonical, members, measure, whole, rows)
+        for canonical, members in _spanned_flats(rows, max_flat_dim + flat_type.homogenizing)
+    ]
 
 
 def grunbaum_point_check(p: Polytope) -> bool:
@@ -444,21 +445,21 @@ def equality_case_classification(p: Polytope) -> list[EqualityCase]:
         simplex = len(p.vertices) == p.dim + 1
         checks += [("simplex_face", s, simplex, {}) for s in _proper_faces_of_simple(p)]
     measure = cone_volume_measure(p)
+    dets, whole, width = measure.dets, sum(measure.dets), p.dim + 1
     rows = _normal_rows(p, AffineFlat)
     cases = []
     for kind, members, expected, index in checks:
         canonical = canonical_rows([rows[i] for i in members])
         # a hyperplane flat of R^n has n canonical rows of width n + 1
         if kind == "pyramid_apex" and len(canonical) != p.dim:
+            raise TheoremViolation(f"{kind}: tight normals {sorted(members)} span no hyperplane flat")
+        _, equality = _weigh(width, canonical, members, dets, whole)
+        if equality != expected:
             raise TheoremViolation(
-                f"{kind}: tight normals {sorted(members)} span no hyperplane flat"
-            )
-        report = _report(p, "affine", canonical, members, measure, rows)
-        if report.equality != expected:
-            raise TheoremViolation(
-                f"{kind}: equality at normals {sorted(members)} is {report.equality}, "
+                f"{kind}: equality at normals {sorted(members)} is {equality}, "
                 f"the polytope's structure says {expected}"
             )
-        if report.equality:
+        if equality:
+            report = _report(p, "affine", canonical, members, measure, whole, rows)
             cases.append(EqualityCase(kind=kind, report=report, **index))
     return cases

@@ -35,6 +35,7 @@ from .polytope import (
 )
 
 APPROX_DIGITS = 12
+_INLINE = {str: _encode_str, int: int.__repr__}  # exact types the writer inlines
 
 
 def parse_fraction(text: Any) -> Fraction:
@@ -193,7 +194,8 @@ def dumps(doc: Any) -> str:
 
 def _write(value: Any, newline: str, out: list[str]) -> None:
     """Append ``value`` to ``out``, with ``newline`` (a newline and the
-    current indent) before each closing bracket."""
+    current indent) before each closing bracket; a dict value of an
+    ``_INLINE`` type, and a list of one such type, in one step."""
     if isinstance(value, str):
         out.append(_encode_str(value))
     elif value is None:
@@ -213,8 +215,11 @@ def _write(value: Any, newline: str, out: list[str]) -> None:
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(sep + _encode_str(key) + ": ")
-            _write(item, inner, out)
+            if encode := _INLINE.get(type(item)):
+                out.append(f"{sep}{_encode_str(key)}: {encode(item)}")
+            else:
+                out.append(f"{sep}{_encode_str(key)}: ")
+                _write(item, inner, out)
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(value, (list, tuple)):
@@ -222,6 +227,10 @@ def _write(value: Any, newline: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = newline + "  "
+        encode = _INLINE.get(type(value[0]))
+        if encode and len(set(map(type, value))) == 1:
+            out.append(f"[{inner}{(',' + inner).join(map(encode, value))}{newline}]")
+            return
         sep = "[" + inner
         for item in value:
             out.append(sep)

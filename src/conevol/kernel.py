@@ -22,14 +22,15 @@ need:
 
 A flat is stored as ``rows``: the reduced row echelon rows of its span,
 each written as its primitive integer multiple with a positive pivot
-entry; the constructors reject rows in any other form, and the builders
-reject vectors of mixed dimensions.  Two flats of one kind are equal iff
-their rows are, which makes flats usable as dict keys and makes
-deduplication trivial.  The rational
-reduced row echelon basis is a derived view, ``basis``.
+entry; the constructors reject rows in any other form, checked in one
+pass (:func:`_is_canonical`), and the builders reject vectors of mixed
+dimensions.  Two flats of one kind are equal iff their rows are, which
+makes flats usable as dict keys and makes deduplication trivial.  The
+rational reduced row echelon basis is a derived view, ``basis``.
 """
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -224,13 +225,12 @@ def _clear(row: Sequence[int], top: Sequence[int], c: int) -> list[int]:
     return [a * y - b * z for y, z in zip(row, top)]
 
 
-def _reduce(rows: Sequence[Sequence[int]], row: Sequence[int]) -> Sequence[int]:
-    """The integer row reduced against canonical rows (:func:`canonical_rows`):
-    zero in every pivot column of ``rows``, and a positive multiple of
-    ``row`` minus a combination of ``rows``.  It is zero iff ``row`` lies
-    in their span."""
-    for top in rows:
-        c = _pivot(top)
+def _reduce(rows: Sequence[Sequence[int]], row: Sequence[int], pivots: list[int]) -> Sequence[int]:
+    """The integer row reduced against canonical rows (:func:`canonical_rows`)
+    with pivot columns ``pivots``: zero in every pivot column of ``rows``,
+    and a positive multiple of ``row`` minus a combination of ``rows``.  It
+    is zero iff ``row`` lies in their span."""
+    for top, c in zip(rows, pivots):
         if row[c]:
             row = _clear(row, top, c)
     return row
@@ -242,7 +242,7 @@ def _primitive_row(row: Sequence[int]) -> tuple[int, ...]:
     g = gcd(*row)
     if next(filter(None, row)) < 0:
         g = -g
-    return tuple([x // g for x in row])
+    return tuple(row) if g == 1 else tuple([x // g for x in row])
 
 
 def _extend(rows: tuple[tuple[int, ...], ...], row: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -252,15 +252,16 @@ def _extend(rows: tuple[tuple[int, ...], ...], row: Sequence[int]) -> tuple[tupl
     span).  Else make it primitive with a positive pivot, clear its pivot
     column from ``rows`` and make them primitive again, and order the rows
     by pivot column.  The result is the unique scaled reduced row echelon
-    form of the span.
+    form of the span.  Each pivot is found once.
     """
-    reduced = _reduce(rows, row)
+    pivots = list(map(_pivot, rows))
+    reduced = _reduce(rows, row, pivots)
     if not any(reduced):
         return rows
     new = _primitive_row(reduced)
     c = _pivot(new)
     out = [_primitive_row(_clear(top, new, c)) if top[c] else top for top in rows]
-    out.insert(sum(_pivot(top) < c for top in rows), new)
+    out.insert(bisect(pivots, c), new)
     return tuple(out)
 
 
@@ -271,9 +272,26 @@ def canonical_rows(rows: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]
     return reduce(_extend, rows, ())
 
 
+def _is_canonical(rows: Sequence[Sequence[int]]) -> bool:
+    """``canonical_rows(rows) == rows`` in one pass, by uniqueness of the
+    reduced row echelon form: tuple rows, each nonzero and primitive with a
+    positive pivot entry, pivot columns increasing, each zero in the other
+    rows (in later rows by their later pivots)."""
+    if not isinstance(rows, tuple):
+        return False
+    last = -1
+    for i, row in enumerate(rows):
+        lead = next(filter(None, row), 0) if isinstance(row, tuple) else 0
+        c = row.index(lead) if lead > 0 else last  # no positive pivot: refused
+        if c <= last or gcd(*row) != 1 or any(top[c] for top in rows[:i]):
+            return False
+        last = c
+    return True
+
+
 def _in_span(rows: Sequence[Sequence[int]], row: Sequence[int]) -> bool:
     """True iff the integer row lies in the span of the canonical rows."""
-    return not any(_reduce(rows, row))
+    return not any(_reduce(rows, row, list(map(_pivot, rows))))
 
 
 @dataclass(frozen=True)
@@ -291,7 +309,7 @@ class _Span:
         if any(len(row) != self.width for row in self.rows):
             raise ValueError(f"basis rows must have ambient_dim + {self.homogenizing} entries")
         # contains, dim, equality and complementary read the canonical form
-        if canonical_rows(self.rows) != self.rows:
+        if not _is_canonical(self.rows):
             raise ValueError("basis rows are not in canonical form (see canonical_rows)")
 
     @property

@@ -186,25 +186,20 @@ def tower_bound(p: Polytope, flat: AffineFlat, j: int) -> Fraction:
     exact fraction.  It decreases strictly in j toward the affine bound
     (d+1)/(n+1) * vol(P).
 
-    The bound reads the flat only through d, so after the checks, which run
-    on every call, it is computed once per (d, j) and kept in the instance
-    dictionary, the way :func:`~conevol.cone_measure.cone_volume_measure`
-    keeps the measure: it lives and dies with the polytope.
+    The bound reads the flat only through d.  After the checks, which run on
+    every call (the ``require_*`` helpers only raise), it is computed once
+    per (d, j) and kept in the instance dictionary, as the measure is.
     """
-    require_centered(p)
-    require_proper_flat(p, flat)
+    n = p.dim
+    if not (p.centered and p.unit_rhs):
+        require_centered(p)
+    d = len(flat.rows) - 1 if isinstance(flat, AffineFlat) else n
+    if d >= n or flat.ambient_dim != n:
+        require_proper_flat(p, flat)
     if j < 1:
         raise ValueError("need at least one lift")
-    bounds = p.__dict__.get("_tower_bounds")
-    if bounds is None:
-        bounds = p.__dict__["_tower_bounds"] = {}
-    key = (flat.dim, j)
-    bound = bounds.get(key)
+    bounds = p.__dict__.setdefault("_tower_bounds", {})
+    bound = bounds.get((d, j))
     if bound is None:
-        n = p.dim
-        vol = volume(p)
-        bound = bounds[key] = Fraction(
-            (flat.dim + 1) * (n + j + 1) * vol.numerator,
-            (n + j) * (n + 1) * vol.denominator,
-        )
+        bound = bounds[d, j] = Fraction((d + 1) * (n + j + 1), (n + j) * (n + 1)) * volume(p)
     return bound

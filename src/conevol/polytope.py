@@ -132,7 +132,7 @@ class Polytope:
     facet_rows: tuple[tuple[tuple[int, ...], int], ...]
     masks: tuple[int, ...]
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return len(self.vertex_rows[0])
 

@@ -14,8 +14,10 @@ from fractions import Fraction as F
 import pytest
 
 import conevol
+from conevol import concentration
 from conevol.cli import main
 from conevol.concentration import ConcentrationReport
+from conevol.jsonio import dumps
 
 
 SEGMENT_DOC = {"dim": 1, "vertices": [["-1"], ["1"]]}
@@ -153,6 +155,46 @@ class TestAudit:
         assert code == 0
         assert "EQUALITY" in out and "cone weights" in out
 
+    @pytest.mark.parametrize(
+        "spec",
+        [["cube", "--dim", "3"], ["pyramid_over", "--dim", "3", "--seed", "4"],
+         ["join", "--dim", "3", "--seed", "2"], ["random", "--dim", "3", "--seed", "2"]],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_kind_flags_walk_only_their_kind(self, spec, fmt, capsys, monkeypatch):
+        # each flag's document is the --both document with the other kind's
+        # reports left out, byte for byte, and comes from that kind's walk alone
+        walks = []
+        real_walk = concentration._spanned_flats
+
+        def counting_walk(rows, max_size):
+            walks.append(len(rows[0]))
+            return real_walk(rows, max_size)
+
+        monkeypatch.setattr(concentration, "_spanned_flats", counting_walk)
+        _, gen_out, _ = run_cli(["gen", "--kind", *spec], capsys=capsys)
+        dim = json.loads(gen_out)["dim"]
+        outs = {}
+        for flag in ("--both", "--linear", "--affine"):
+            walks.clear()
+            code, outs[flag], _ = run_cli(
+                ["audit", flag, "--format", fmt], stdin=gen_out, capsys=capsys, monkeypatch=monkeypatch
+            )
+            assert code == 0
+            # the linear walk's rows have width n, the affine walk's n + 1
+            expected = {"--both": [dim + 1, dim], "--linear": [dim], "--affine": [dim + 1]}[flag]
+            assert walks == expected
+        for flag, kind in (("--linear", "linear"), ("--affine", "affine")):
+            if fmt == "json":
+                doc = json.loads(outs["--both"])
+                doc["reports"] = [r for r in doc["reports"] if r["kind"] == kind]
+                doc["violations"] = sum(r["slack"].startswith("-") for r in doc["reports"])
+                assert outs[flag] == dumps(doc)
+            else:
+                other = "affine " if kind == "linear" else "linear "
+                lines = outs["--both"].splitlines(keepends=True)
+                assert outs[flag] == "".join(x for x in lines if not x.startswith(other))
+
     def test_violation_exit_3(self, capsys, monkeypatch):
         # the audit cannot produce a negative slack from valid input, so the
         # wiring is tested by injection
@@ -167,7 +209,9 @@ class TestAudit:
             equality=False,
             witness=None,
         )
-        monkeypatch.setattr("conevol.cli.full_audit", lambda p, d, **kw: [bad])
+        monkeypatch.setattr(
+            "conevol.cli._kind_reports", lambda p, kind, d: [bad] if kind == "affine" else []
+        )
         _, gen_out, _ = run_cli(["gen", "--kind", "simplex", "--dim", "2"], capsys=capsys)
         code, out, _ = run_cli(["audit"], stdin=gen_out, capsys=capsys, monkeypatch=monkeypatch)
         assert code == 3

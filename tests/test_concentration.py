@@ -452,15 +452,16 @@ def classification_corpus():
 
 
 def test_classification_member_sets_match_membership(monkeypatch):
-    # the classification hands _report member sets read from the face
-    # lattice; each must equal the set the membership test finds, and no
-    # membership test or re-audit may run inside the classification
-    real_report = concentration._report
+    # the classification decides each check by _weigh on member sets read
+    # from the face lattice; each must equal the set the membership test
+    # finds, and no membership test or re-audit may run inside the
+    # classification
+    real_weigh = concentration._weigh
     passed = []
 
-    def recording_report(p, kind, canonical, members, measure, rows):
-        passed.append((AffineFlat(p.dim, canonical), members))
-        return real_report(p, kind, canonical, members, measure, rows)
+    def recording_weigh(width, canonical, members, dets, whole):
+        passed.append((AffineFlat(width - 1, canonical), members))
+        return real_weigh(width, canonical, members, dets, whole)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("classification re-audits a flat")
@@ -469,7 +470,7 @@ def test_classification_member_sets_match_membership(monkeypatch):
     for p in classification_corpus():
         passed.clear()
         with monkeypatch.context() as m:
-            m.setattr(concentration, "_report", recording_report)
+            m.setattr(concentration, "_weigh", recording_weigh)
             m.setattr(concentration, "affine_scc", forbidden)
             m.setattr(concentration, "_flat_members", forbidden)
             cases = equality_case_classification(p)

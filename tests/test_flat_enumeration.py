@@ -18,6 +18,7 @@ the face lattice.
 from __future__ import annotations
 
 import functools
+import gc
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -189,6 +190,20 @@ def test_full_audit_equals_public_audits(make):
         affine_scc(p, r.flat) if r.kind == "affine" else linear_scc(p, r.flat)
         for r in reports
     ]
+
+
+def test_full_audit_leaves_no_reference_cycle():
+    # the walk keeps its nodes on an explicit stack, so everything an audit
+    # makes is freed by reference counting alone
+    for p in (random_centered(3, 8, 1), cube(3), cross_polytope(3)):
+        full_audit(p)  # fills the polytope's caches
+        gc.collect()
+        gc.disable()
+        try:
+            full_audit(p)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 @functools.cache

@@ -9,6 +9,7 @@ import io
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from enum import IntEnum
 from fractions import Fraction as F
 from unittest import mock
 
@@ -196,6 +197,15 @@ JSON_DOCS = st.recursive(
 )
 
 
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Tag(str):
+    pass
+
+
 class TestWriter:
     @settings(max_examples=150, deadline=None)
     @given(JSON_DOCS)
@@ -203,12 +213,24 @@ class TestWriter:
     @example([])
     @example({})
     @example("\x00\u00e9\ud800")
+    # lists the one-join path must leave to the general branches: bools and
+    # ints mixed, str and int mixed, and subclasses of int and str
+    @example([True, 1, 0])
+    @example([1, True])
+    @example(["a", 1])
+    @example((1, 2))
+    @example([Level.LOW, Level.HIGH])
+    @example({"a": [Tag("x"), Tag("\u00e9")], "b": Level.HIGH, "c": Tag("y")})
+    @example({"big": [2**64, -(2**70) - 1], "one": 2**65})
     def test_same_bytes_as_json_dumps_indent_2(self, doc):
         assert dumps(doc) == json.dumps(doc, indent=2) + "\n"
 
     @pytest.mark.parametrize(
         "doc",
-        [1.5, [0.0], {"a": {"b": [2.5]}}, {1: "x"}, {None: 1}, {"a": {True: 1}}, {"a": object()}],
+        [
+            1.5, [0.0], {"a": {"b": [2.5]}}, {1: "x"}, {None: 1}, {"a": {True: 1}}, {"a": object()},
+            [1, 1.5], ["a", 1.5],
+        ],
     )
     def test_other_types_raise_type_error(self, doc):
         with pytest.raises(TypeError):

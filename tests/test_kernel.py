@@ -28,6 +28,7 @@ from conevol.kernel import (
     LinearSubspace,
     Matrix,
     Vector,
+    _is_canonical,
     affine_hull,
     as_fraction,
     canonical_rows,
@@ -310,6 +311,50 @@ class TestLinearSubspace:
     def test_vectors_of_another_dimension_rejected(self):
         with pytest.raises(ValueError, match=re.escape("vector 1 has dimension 3, expected 2")):
             linear_span([vector([1, 0]), vector([1, 0, 0])], 2)
+
+
+@st.composite
+def near_canonical_rows(draw) -> tuple[tuple[int, ...], ...]:
+    """Integer row sets up to 4 x 5: free ones, canonical forms, and
+    canonical forms after one edit (a row times 2 or -1, two rows swapped,
+    one row added to another, a zero row appended)."""
+    width = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-3, 3), min_size=width, max_size=width).map(tuple)
+    rows = draw(st.lists(row, max_size=4))
+    edit = draw(st.sampled_from(["free", "none", "times 2", "times -1", "swap", "add", "zero row"]))
+    if edit == "free":
+        return tuple(rows)
+    rows = list(canonical_rows(rows))
+    i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    if edit == "zero row":
+        rows.append((0,) * width)
+    elif rows and edit in ("times 2", "times -1"):
+        factor = 2 if edit == "times 2" else -1
+        rows[i % len(rows)] = tuple(factor * x for x in rows[i % len(rows)])
+    elif rows and edit == "swap":
+        i, j = i % len(rows), j % len(rows)
+        rows[i], rows[j] = rows[j], rows[i]
+    elif rows and edit == "add":
+        i, j = i % len(rows), j % len(rows)
+        rows[i] = tuple(x + y for x, y in zip(rows[i], rows[j]))
+    return tuple(rows)
+
+
+@settings(max_examples=400)
+@given(near_canonical_rows())
+@example(())
+@example(((1, 0), (0, 1)))
+@example(((1, 1, 0), (0, 1, 0)))  # the first row is nonzero in the second's pivot column
+@example(((0, 1), (1, 0)))
+@example(((2, 0),))
+@example(((-1, 0),))
+@example(((1, 0), (0, 0)))
+@example(((),))
+@example([(1, 0)])  # a list of rows, not a tuple
+@example(([1, 0],))  # a row as a list
+def test_one_pass_canonical_check_is_the_fold(rows):
+    # the constructors' one-pass check decides exactly what the fold decides
+    assert _is_canonical(rows) == (canonical_rows(rows) == rows)
 
 
 class TestVectorBasics:
