@@ -13,7 +13,8 @@ for a flat A.  A :class:`ConcentrationReport` keeps its flat as canonical
 integer rows and builds the flat object on first read.  On equality, it
 carries the span of the remaining rows as its witness when that span is
 complementary to the flat: a complete certificate for L (equality holds iff
-the normals split across L and a complement), an attempt for A.
+the normals split across L and a complement, so a linear equality without
+it raises), an attempt for A.
 
 Equality cases of the affine inequality at the extremes are classified by
 :func:`equality_case_classification`: a facet's singleton flat attains the
@@ -37,6 +38,7 @@ from .kernel import (
     Vector,
     _eliminate,
     _extend,
+    _forward,
     _in_span,
     canonical_rows,
     complementary,
@@ -146,11 +148,11 @@ def _flat_members(flat: Flat, rows: Sequence[Sequence[int]]) -> frozenset[int]:
 
 
 def _weigh(
-    width: int, canonical: Rows, members: frozenset[int], dets: Sequence[int], whole: int
+    width: int, rank: int, members: frozenset[int], dets: Sequence[int], whole: int
 ) -> tuple[int, bool]:
     """The members' integer mass and whether it attains the bound: width * mass == rank * whole."""
     mass = sum(map(dets.__getitem__, members))
-    return mass, width * mass == len(canonical) * whole
+    return mass, width * mass == rank * whole
 
 
 def _report(
@@ -170,8 +172,9 @@ def _report(
     at most rank / row width * vol(P), that is (dim L / n) vol(P) for a
     linear subspace and ((dim A + 1) / (n + 1)) vol(P) for an affine flat.
     On equality the witness is the span of the remaining rows when it is
-    complementary to the flat; for a linear subspace that witness is
-    decisive, for an affine flat it is an attempt.
+    complementary to the flat.  For a linear subspace that witness is
+    decisive: equality without it raises :class:`TheoremViolation`.  For an
+    affine flat it is an attempt, and the report may carry none.
 
     The sums run on the measure's integer weights over its common scale
     (:func:`_weigh`), with ``whole`` the sum of all, read once per audit;
@@ -179,7 +182,7 @@ def _report(
     """
     flat_type, rank, scale = _FLATS[kind], len(canonical), measure.scale
     width = p.dim + flat_type.homogenizing
-    mass, equality = _weigh(width, canonical, members, measure.dets, whole)
+    mass, equality = _weigh(width, rank, members, measure.dets, whole)
     witness = None
     if equality:
         # the homogenized normals span R^(n+1), so a proper affine flat
@@ -191,6 +194,10 @@ def _report(
                 complement=complement,
                 member_indices=members,
                 complement_indices=frozenset(range(p.facet_count)) - members,
+            )
+        elif kind == "linear":
+            raise TheoremViolation(
+                f"linear equality at normals {sorted(members)} without a complementary split"
             )
     return ConcentrationReport(
         kind=kind,
@@ -449,17 +456,18 @@ def equality_case_classification(p: Polytope) -> list[EqualityCase]:
     rows = _normal_rows(p, AffineFlat)
     cases = []
     for kind, members, expected, index in checks:
-        canonical = canonical_rows([rows[i] for i in members])
-        # a hyperplane flat of R^n has n canonical rows of width n + 1
-        if kind == "pyramid_apex" and len(canonical) != p.dim:
+        member_rows = [rows[i] for i in members]
+        rank = _forward(member_rows)[0]
+        # a hyperplane flat of R^n has rank n in rows of width n + 1
+        if kind == "pyramid_apex" and rank != p.dim:
             raise TheoremViolation(f"{kind}: tight normals {sorted(members)} span no hyperplane flat")
-        _, equality = _weigh(width, canonical, members, dets, whole)
+        _, equality = _weigh(width, rank, members, dets, whole)
         if equality != expected:
             raise TheoremViolation(
                 f"{kind}: equality at normals {sorted(members)} is {equality}, "
                 f"the polytope's structure says {expected}"
             )
         if equality:
-            report = _report(p, "affine", canonical, members, measure, whole, rows)
+            report = _report(p, "affine", canonical_rows(member_rows), members, measure, whole, rows)
             cases.append(EqualityCase(kind=kind, report=report, **index))
     return cases

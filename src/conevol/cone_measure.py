@@ -28,7 +28,6 @@ class ConeVolumeMeasure:
     weights is an integer sum and one Fraction.
     """
 
-    dim: int
     atoms: tuple[tuple[Vector, Fraction], ...]
     total: Fraction
     dets: tuple[int, ...]
@@ -61,7 +60,7 @@ def cone_volume_measure(p: Polytope) -> ConeVolumeMeasure:
         )
         scale = factorial(p.dim) * p.denominator**p.dim
         atoms = tuple((a, Fraction(d, scale)) for a, d in zip(p.normals, dets))
-        measure = ConeVolumeMeasure(p.dim, atoms, Fraction(sum(dets), scale), dets, scale)
+        measure = ConeVolumeMeasure(atoms, Fraction(sum(dets), scale), dets, scale)
         p.__dict__["_cone_volume_measure"] = measure
     return measure
 

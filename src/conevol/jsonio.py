@@ -35,7 +35,6 @@ from .polytope import (
 )
 
 APPROX_DIGITS = 12
-_INLINE = {str: _encode_str, int: int.__repr__}  # exact types the writer inlines
 
 
 def parse_fraction(text: Any) -> Fraction:
@@ -194,8 +193,7 @@ def dumps(doc: Any) -> str:
 
 def _write(value: Any, newline: str, out: list[str]) -> None:
     """Append ``value`` to ``out``, with ``newline`` (a newline and the
-    current indent) before each closing bracket; a dict value of an
-    ``_INLINE`` type, and a list of one such type, in one step."""
+    current indent) before each closing bracket."""
     if isinstance(value, str):
         out.append(_encode_str(value))
     elif value is None:
@@ -215,11 +213,8 @@ def _write(value: Any, newline: str, out: list[str]) -> None:
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            if encode := _INLINE.get(type(item)):
-                out.append(f"{sep}{_encode_str(key)}: {encode(item)}")
-            else:
-                out.append(f"{sep}{_encode_str(key)}: ")
-                _write(item, inner, out)
+            out.append(f"{sep}{_encode_str(key)}: ")
+            _write(item, inner, out)
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(value, (list, tuple)):
@@ -227,10 +222,6 @@ def _write(value: Any, newline: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = newline + "  "
-        encode = _INLINE.get(type(value[0]))
-        if encode and len(set(map(type, value))) == 1:
-            out.append(f"[{inner}{(',' + inner).join(map(encode, value))}{newline}]")
-            return
         sep = "[" + inner
         for item in value:
             out.append(sep)

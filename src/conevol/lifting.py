@@ -111,14 +111,13 @@ class TowerLevel:
 class LiftTower:
     """Iterated lifts of a centered base.
 
-    ``lifted_normals[j][i]`` is the j-fold lift of base facet normal i;
-    row 0 is the base normal list itself.  On verified levels the lifted
+    Level j has the j-fold lift ``lifted_normal(a, j)`` of each base facet
+    normal a among its facet normals.  On verified levels the lifted
     facet's cone weight equals the base facet's cone weight exactly.
     """
 
     base: Polytope
     levels: tuple[TowerLevel, ...]
-    lifted_normals: tuple[tuple[Vector, ...], ...]
 
 
 def build_tower(p: Polytope, j_max: int) -> LiftTower:
@@ -145,7 +144,6 @@ def build_tower(p: Polytope, j_max: int) -> LiftTower:
     base_vol = volume(p)
     base_weights = [w for _, w in cone_volume_measure(p).atoms]
     levels = [TowerLevel(level=0, polytope=p, volume=base_vol, verified=True)]
-    lifted: list[tuple[Vector, ...]] = [tuple(p.normals)]
     current = p
     for j in range(1, j_max + 1):
         current = pyramid_lift(current)
@@ -172,8 +170,7 @@ def build_tower(p: Polytope, j_max: int) -> LiftTower:
                 verified=verified,
             )
         )
-        lifted.append(closed)
-    return LiftTower(base=p, levels=tuple(levels), lifted_normals=tuple(lifted))
+    return LiftTower(base=p, levels=tuple(levels))
 
 
 def tower_bound(p: Polytope, flat: AffineFlat, j: int) -> Fraction:

@@ -681,16 +681,21 @@ def polar(p: Polytope) -> Polytope:
     multiple L of every c, which is the key :func:`_canonical_facets` sorts
     the facets of ``p`` by; its facets are the primitive rows of (V_j, D).
     Both lists are sorted lexicographically, so indices align: vertex ``i``
-    of the polar is normal ``i`` of ``p`` and incidence transposes.
+    of the polar is normal ``i`` of ``p`` and incidence transposes.  The
+    derived incidence must say so (the facet masks of the polar are, as a
+    set, the masks of ``p.vertex_facets``), else :class:`TheoremViolation`.
     """
     if not p.unit_rhs:
         raise OriginNotInterior("polar needs the origin strictly inside (unit rhs form)")
     common = lcm(*(c for _, c in p.facet_rows))
-    return _assemble(
+    q = _assemble(
         [[x * (common // c) for x in g] for g, c in p.facet_rows],
         common,
         [_facet_row(row + (p.denominator,)) for row in p.vertex_rows],
     )
+    if set(q.masks) != {sum(1 << i for i in facets) for facets in p.vertex_facets}:
+        raise TheoremViolation("the polar's incidence is not its parent's transposed")
+    return q
 
 
 def face_dim(p: Polytope, vertex_indices: Iterable[int]) -> int:
@@ -706,37 +711,32 @@ def section_profile_q(p: Polytope, u: Vector, t: Fraction | int) -> Fraction:
     ``t u`` orthogonal to ``u``; q is its (n-1)-volume divided by |u|.  That
     quotient is rational: projecting the section along a coordinate axis k
     with u_k != 0 scales (n-1)-volume by |u_k| / |u|, so q equals the
-    projected volume divided by |u_k|.  ``t`` must be exact: a float raises
-    :class:`TypeError`.
+    projected volume divided by |u_k|.  The section's vertices are the
+    polytope's vertices on the hyperplane and the points where its edges,
+    the two-vertex faces of the face lattice, cross it.  In dimension 1
+    the section is a point, and q is 1 / |u_k| when the hyperplane meets
+    the segment.  ``t`` must be exact: a float raises :class:`TypeError`.
     """
     if u.dim != p.dim or u.is_zero():
         raise ValueError("direction must be a nonzero vector of the ambient dimension")
-    t = as_fraction(t)
-    c = t * u.dot(u)
+    c = as_fraction(t) * u.dot(u)
     svals = [u.dot(v) for v in p.vertices]
-    candidates: set[Vector] = set()
-    for v, s in zip(p.vertices, svals):
-        if s == c:
-            candidates.add(v)
-    for (i, v), (j, w) in itertools.combinations(enumerate(p.vertices), 2):
-        si, sj = svals[i], svals[j]
-        if (si < c < sj) or (sj < c < si):
-            lam = (c - si) / (sj - si)
-            candidates.add(v + (w - v).scale(lam))
-    if not candidates:
-        return ZERO
     k = next(i for i, x in enumerate(u.coords) if x != 0)
     scale = abs(u.coords[k])
     if p.dim == 1:
-        return ONE / scale
-    projected = [
-        Vector(tuple(x for i, x in enumerate(pt.coords) if i != k)) for pt in candidates
-    ]
-    hom = [list(q.coords) + [ONE] for q in set(projected)]
-    if rank_of_rows(hom) != p.dim:
+        return ONE / scale if min(svals) <= c <= max(svals) else ZERO
+    candidates = {v for v, s in zip(p.vertices, svals) if s == c}
+    for edge in p._faces:
+        if edge.bit_count() == 2:
+            i, j = _members(edge)
+            si, sj = svals[i], svals[j]
+            if (si < c < sj) or (sj < c < si):
+                v, w = p.vertices[i], p.vertices[j]
+                candidates.add(v + (w - v).scale((c - si) / (sj - si)))
+    projected = {Vector(pt.coords[:k] + pt.coords[k + 1 :]) for pt in candidates}
+    if rank_of_rows([q.coords + (ONE,) for q in projected]) != p.dim:
         return ZERO
-    section = convex_hull(projected)
-    return volume(section) / scale
+    return volume(convex_hull(projected)) / scale
 
 
 def pyramid_apexes(p: Polytope) -> tuple[tuple[int, int], ...]:

@@ -74,6 +74,7 @@ class TestGen:
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--kind", "ball", "--dim", "3"])
         assert exc.value.code == 2
+        assert "argument --kind: invalid choice: 'ball'" in capsys.readouterr().err
 
 
 class TestAudit:
@@ -146,6 +147,7 @@ class TestAudit:
         with pytest.raises(SystemExit) as exc:
             main(["audit", "--linear", "--affine"])
         assert exc.value.code == 2
+        assert "argument --affine: not allowed with argument --linear" in capsys.readouterr().err
 
     def test_text_format(self, capsys, monkeypatch):
         _, gen_out, _ = run_cli(["gen", "--kind", "simplex", "--dim", "2"], capsys=capsys)
@@ -216,6 +218,14 @@ class TestAudit:
         code, out, _ = run_cli(["audit"], stdin=gen_out, capsys=capsys, monkeypatch=monkeypatch)
         assert code == 3
         assert json.loads(out)["violations"] == 1
+
+    def test_linear_equality_without_a_complementary_split_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(concentration, "complementary", lambda a, b: False)
+        _, gen_out, _ = run_cli(["gen", "--kind", "cube", "--dim", "2"], capsys=capsys)
+        code, out, err = run_cli(["audit"], stdin=gen_out, capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 3
+        assert out == ""
+        assert "theorem violation: linear equality at normals [0, 3]" in err
 
     def test_facet_cap_flag(self, capsys, monkeypatch):
         # the default random 4-polytope has 27 facets, above the default cap
@@ -405,6 +415,7 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+        assert "the following arguments are required: command" in capsys.readouterr().err
 
     def test_file_argument(self, tmp_path, capsys):
         path = tmp_path / "seg.json"

@@ -118,6 +118,19 @@ class TestLinear:
             linear_scc(make_square(), [v(0, 1), v(1, 0, 0)])
 
 
+def test_linear_equality_without_a_complementary_split_raises(monkeypatch):
+    # a linear equality holds iff the normals split across the subspace and
+    # a complement (Henk and Linke, Adv. Math. 2014), so on centered input
+    # one whose remaining normals span no complement is a library bug; the
+    # affine witness is only an attempt, and its absence is no violation
+    monkeypatch.setattr(concentration, "complementary", lambda a, b: False)
+    message = "linear equality at normals [0, 3] without a complementary split"
+    with pytest.raises(TheoremViolation, match=re.escape(message)):
+        full_audit(cube(2))
+    rep = affine_scc(make_triangle(), affine_hull([v(1, 1)]))
+    assert rep.equality and rep.witness is None
+
+
 class TestAffine:
     def test_triangle_singleton_equality_with_witness(self):
         tri = make_triangle()
@@ -453,15 +466,16 @@ def classification_corpus():
 
 def test_classification_member_sets_match_membership(monkeypatch):
     # the classification decides each check by _weigh on member sets read
-    # from the face lattice; each must equal the set the membership test
-    # finds, and no membership test or re-audit may run inside the
+    # from the face lattice and their rank; each set must equal the set the
+    # membership test finds in the affine hull of its normals, the rank must
+    # be that flat's, and no membership test or re-audit may run inside the
     # classification
     real_weigh = concentration._weigh
     passed = []
 
-    def recording_weigh(width, canonical, members, dets, whole):
-        passed.append((AffineFlat(width - 1, canonical), members))
-        return real_weigh(width, canonical, members, dets, whole)
+    def recording_weigh(width, rank, members, dets, whole):
+        passed.append((members, rank))
+        return real_weigh(width, rank, members, dets, whole)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("classification re-audits a flat")
@@ -475,8 +489,10 @@ def test_classification_member_sets_match_membership(monkeypatch):
             m.setattr(concentration, "_flat_members", forbidden)
             cases = equality_case_classification(p)
         assert len(passed) >= p.facet_count
-        for flat, members in passed:
+        for members, rank in passed:
+            flat = affine_hull([p.normals[i] for i in members])
             assert members == frozenset(i for i, a in enumerate(p.normals) if flat.contains(a))
+            assert rank == len(flat.rows)
         for case in cases:
             kinds.add(case.kind)
             assert case.report == affine_scc(p, case.report.flat)

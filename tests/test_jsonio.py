@@ -213,8 +213,8 @@ class TestWriter:
     @example([])
     @example({})
     @example("\x00\u00e9\ud800")
-    # lists the one-join path must leave to the general branches: bools and
-    # ints mixed, str and int mixed, and subclasses of int and str
+    # bools and ints mixed, str and int mixed, tuples, and subclasses of
+    # int and str, which json.dumps writes as their base types
     @example([True, 1, 0])
     @example([1, True])
     @example(["a", 1])

@@ -189,7 +189,7 @@ class TestTower:
             lvl = tower.levels[j]
             atoms = {a: w for a, w in cone_volume_measure(lvl.polytope).atoms}
             for i in range(TRIANGLE.facet_count):
-                assert atoms[tower.lifted_normals[j][i]] == base.weight(i)
+                assert atoms[lifted_normal(tower.base.normals[i], j)] == base.weight(i)
 
     def test_centroids_zero(self):
         tower = build_tower(SQUARE, 2)
@@ -221,7 +221,7 @@ class TestTower:
         tower = build_tower(TRIANGLE, 10)
         for d, members in ((0, [0]), (1, [0, 1])):
             for j in range(1, 11):
-                rows = [tower.lifted_normals[j][i].coords for i in members]
+                rows = [lifted_normal(tower.base.normals[i], j).coords for i in members]
                 assert rank_of_rows(rows) == d + 1
 
 
@@ -247,7 +247,7 @@ class TestTowerBound:
         member = TRIANGLE.normals.index(v(1, 1))
         for j in (1, 2):
             lvl = tower.levels[j].polytope
-            sub = linear_span([tower.lifted_normals[j][member]], lvl.dim)
+            sub = linear_span([lifted_normal(tower.base.normals[member], j)], lvl.dim)
             rep = linear_scc(lvl, sub)
             assert rep.rhs == tower_bound(TRIANGLE, flat, j)
             assert rep.lhs >= cone_volume_measure(TRIANGLE).weight(member)

@@ -6,6 +6,8 @@ the vertex-fan decomposition as a second volume/centroid oracle.
 """
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -20,8 +22,9 @@ from conevol.errors import (
     TheoremViolation,
     Unbounded,
 )
+from conevol.generators import centered_simplex, cross_polytope, random_centered
 from conevol.jsonio import polytope_from_json
-from conevol.kernel import Vector, vector, unit_vector
+from conevol.kernel import ONE, ZERO, Vector, as_fraction, rank_of_rows, vector, unit_vector
 from conevol.polytope import (
     VPolytope,
     _abs_det,
@@ -41,6 +44,7 @@ from conevol.polytope import (
     vertex_fan_volume_centroid,
     volume,
 )
+from test_acceptance import pyramid_pool  # the gate's pyramid pool, as a fixture
 
 
 def v(*xs):
@@ -257,6 +261,16 @@ class TestPolar:
         with pytest.raises(OriginNotInterior):
             polar(convex_hull([v(0, 0), v(1, 0), v(0, 1)]))
 
+    def test_polar_checks_the_polarity_lemma(self):
+        # vertex i of the polar is normal i of the parent, so the polar's
+        # facet masks are the parent's transposed; masks of two adjacent
+        # facets swapped no longer transpose to the polar's incidence
+        c = cube(3)
+        masks = list(c.masks)
+        masks[0], masks[1] = masks[1], masks[0]
+        with pytest.raises(TheoremViolation, match="not its parent's transposed"):
+            polar(dataclasses.replace(c, masks=tuple(masks)))
+
     def test_polar_volume_product_bound_example(self):
         # vol(C) * vol(C*) = 8 * 4/3 = 32/3 for the 3-cube pair
         c = cube(3)
@@ -368,6 +382,64 @@ class TestSections:
         assert section_profile_q(p, e2, 0) == F(4, 3)
         assert section_profile_q(p, e2, -2) == 0
         assert section_profile_q(p, e2, F(-3, 2)) == F(1, 3)
+
+
+def oracle_section_profile_q(p, u, t):
+    """The section profile from every pair of vertices crossed with the
+    hyperplane; the hull of the section keeps the crossings on edges."""
+    t = as_fraction(t)
+    c = t * u.dot(u)
+    svals = [u.dot(x) for x in p.vertices]
+    candidates = {x for x, s in zip(p.vertices, svals) if s == c}
+    for (i, x), (j, y) in itertools.combinations(enumerate(p.vertices), 2):
+        si, sj = svals[i], svals[j]
+        if (si < c < sj) or (sj < c < si):
+            candidates.add(x + (y - x).scale((c - si) / (sj - si)))
+    if not candidates:
+        return ZERO
+    k = next(i for i, x in enumerate(u.coords) if x != 0)
+    scale = abs(u.coords[k])
+    if p.dim == 1:
+        return ONE / scale
+    projected = [Vector(tuple(x for i, x in enumerate(pt.coords) if i != k)) for pt in candidates]
+    if rank_of_rows([list(q.coords) + [ONE] for q in set(projected)]) != p.dim:
+        return ZERO
+    return volume(convex_hull(projected)) / scale
+
+
+def _section_probes(p, rng):
+    """Seeded directions, a facet normal first, each at the heights of its
+    lowest, highest and one more vertex, two heights strictly inside and
+    one beyond each end."""
+    directions = [p.normals[0]]
+    while len(directions) < 4:
+        u = vector([rng.randint(-3, 3) for _ in range(p.dim)])
+        if not u.is_zero():
+            directions.append(u)
+    for u in directions:
+        levels = sorted({u.dot(x) / u.dot(u) for x in p.vertices})
+        lo, hi = levels[0], levels[-1]
+        heights = {lo, hi, rng.choice(levels), lo - 1, hi + F(1, 7)}
+        heights |= {lo + (hi - lo) * F(rng.randint(1, 19), 20) for _ in range(2)}
+        for t in sorted(heights):
+            yield u, t
+
+
+def test_edge_sections_match_the_all_pairs_oracle(pyramid_pool):
+    # the section's vertices are the vertices on the hyperplane and the
+    # crossings of the face lattice's edges: the same q as every vertex pair
+    rng = random.Random(7211)
+    shapes = list(pyramid_pool)
+    shapes += [f(n) for n in (1, 2, 3, 4) for f in (cube, cross_polytope, centered_simplex)]
+    shapes += [random_centered(n, m, seed) for n, m in ((2, 12), (3, 8), (4, 6)) for seed in range(4)]
+    probes = nonzero = 0
+    for p in shapes:
+        for u, t in _section_probes(p, rng):
+            q = section_profile_q(p, u, t)
+            assert q == oracle_section_profile_q(p, u, t), (p.vertices, u, t)
+            probes += 1
+            nonzero += q != 0
+    assert probes > 1000 and nonzero > probes // 3
 
 
 class TestPyramids:
