@@ -82,6 +82,8 @@ class ConcentrationReport:
 
     The flat is kept as its kind, ambient dimension and canonical rows;
     ``flat`` is built from them on first read, and ``flat_dim`` reads them.
+    Audits of one polytope share their reports (it keeps its walks), so the
+    report stays frozen: immutability is what keeps that sharing sound.
     """
 
     kind: str  # "linear" | "affine"
@@ -315,13 +317,23 @@ def full_audit(
 
 
 def _kind_reports(p: Polytope, kind: str, max_flat_dim: int) -> list[ConcentrationReport]:
-    """The reports of one walk: the flats of ``kind`` up to ``max_flat_dim``."""
-    flat_type, measure = _FLATS[kind], cone_volume_measure(p)
-    rows, whole = _normal_rows(p, flat_type), sum(measure.dets)
-    return [
-        _report(p, kind, canonical, members, measure, whole, rows)
-        for canonical, members in _spanned_flats(rows, max_flat_dim + flat_type.homogenizing)
-    ]
+    """The reports of one walk: the flats of ``kind`` up to ``max_flat_dim``.
+
+    The widest walk of each kind is kept in the instance dictionary, as the
+    measure is.  A narrower request reads its prefix: sorted by (rank,
+    members), a walk of size s holds the flats of rank <= s of any wider
+    walk, since each is reached from its greedy basis whatever the bound.
+    """
+    flat_type, walks = _FLATS[kind], p.__dict__.setdefault("_walks", {})
+    size, walk = max_flat_dim + flat_type.homogenizing, walks.get(kind)
+    if walk is None or walk[0] < size:
+        measure = cone_volume_measure(p)
+        rows, whole = _normal_rows(p, flat_type), sum(measure.dets)
+        walk = walks[kind] = size, tuple(
+            _report(p, kind, canonical, members, measure, whole, rows)
+            for canonical, members in _spanned_flats(rows, size)
+        )
+    return [r for r in walk[1] if len(r.rows) <= size]
 
 
 def grunbaum_point_check(p: Polytope) -> bool:
@@ -433,9 +445,11 @@ def equality_case_classification(p: Polytope) -> list[EqualityCase]:
     (the completeness certificate checks this), and they all lie on that
     hyperplane, which misses the origin, so their affine hull has dimension
     n - 1 and is that hyperplane.  A vertex flat of any other dimension
-    raises TheoremViolation.
+    raises TheoremViolation.  The cases are kept once every check passes.
     """
     require_centered(p)
+    if "_equality_cases" in p.__dict__:
+        return list(p.__dict__["_equality_cases"])
     apexes = pyramid_apexes(p)
     base_facets = {base for _, base in apexes}
     apex_vertices = {v for v, _ in apexes}
@@ -470,4 +484,5 @@ def equality_case_classification(p: Polytope) -> list[EqualityCase]:
         if equality:
             report = _report(p, "affine", canonical_rows(member_rows), members, measure, whole, rows)
             cases.append(EqualityCase(kind=kind, report=report, **index))
+    p.__dict__["_equality_cases"] = tuple(cases)
     return cases

@@ -186,46 +186,45 @@ def dumps(doc: Any) -> str:
     TypeError.
     """
     out: list[str] = []
-    _write(doc, "\n", out)
+    _write(doc, "", "\n", out)
     out.append("\n")
     return "".join(out)
 
 
-def _write(value: Any, newline: str, out: list[str]) -> None:
-    """Append ``value`` to ``out``, with ``newline`` (a newline and the
+def _write(value: Any, lead: str, newline: str, out: list[str]) -> None:
+    """Append ``lead``, the separator text before ``value``, and ``value``
+    to ``out`` (a scalar as one piece), with ``newline`` (a newline and the
     current indent) before each closing bracket."""
     if isinstance(value, str):
-        out.append(_encode_str(value))
+        out.append(lead + _encode_str(value))
     elif value is None:
-        out.append("null")
+        out.append(lead + "null")
     elif value is True:
-        out.append("true")
+        out.append(lead + "true")
     elif value is False:
-        out.append("false")
+        out.append(lead + "false")
     elif isinstance(value, int):
-        out.append(int.__repr__(value))
+        out.append(lead + int.__repr__(value))
     elif isinstance(value, dict):
         if not value:
-            out.append("{}")
+            out.append(lead + "{}")
             return
         inner = newline + "  "
-        sep = "{" + inner
+        sep = lead + "{" + inner
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(f"{sep}{_encode_str(key)}: ")
-            _write(item, inner, out)
+            _write(item, f"{sep}{_encode_str(key)}: ", inner, out)
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
-            out.append("[]")
+            out.append(lead + "[]")
             return
         inner = newline + "  "
-        sep = "[" + inner
+        sep = lead + "[" + inner
         for item in value:
-            out.append(sep)
-            _write(item, inner, out)
+            _write(item, sep, inner, out)
             sep = "," + inner
         out.append(newline + "]")
     else:

@@ -122,7 +122,9 @@ def test_linear_equality_without_a_complementary_split_raises(monkeypatch):
     # a linear equality holds iff the normals split across the subspace and
     # a complement (Henk and Linke, Adv. Math. 2014), so on centered input
     # one whose remaining normals span no complement is a library bug; the
-    # affine witness is only an attempt, and its absence is no violation
+    # affine witness is only an attempt, and its absence is no violation;
+    # cube(2) is a new object, whose walk has not been kept, so it runs
+    # under the patch
     monkeypatch.setattr(concentration, "complementary", lambda a, b: False)
     message = "linear equality at normals [0, 3] without a complementary split"
     with pytest.raises(TheoremViolation, match=re.escape(message)):
@@ -469,7 +471,8 @@ def test_classification_member_sets_match_membership(monkeypatch):
     # from the face lattice and their rank; each set must equal the set the
     # membership test finds in the affine hull of its normals, the rank must
     # be that flat's, and no membership test or re-audit may run inside the
-    # classification
+    # classification; the corpus is built anew, since a polytope keeps its
+    # equality cases and a classified one would not reach the patches
     real_weigh = concentration._weigh
     passed = []
 
@@ -564,3 +567,83 @@ def test_integer_sums_match_fraction_sums():
             equalities += r.equality
         reports += len(found)
     assert reports > 80000 and equalities > 400
+
+
+# A polytope keeps its widest walk of each kind and its equality cases, so
+# these tests compare a polytope audited before against a new object of the
+# same polytope (``generate`` builds one on every call).
+CACHE_SPECS = [GeneratorSpec("cube", n) for n in (2, 3, 4)]
+CACHE_SPECS += [GeneratorSpec("cross", 3), GeneratorSpec("simplex", 4)]
+CACHE_SPECS += [
+    GeneratorSpec(kind, n, m, seed)
+    for kind, n, m in (("random", 3, 8), ("random", 4, 6), ("pyramid_over", 3, None), ("join", 4, None))
+    for seed in (0, 1)
+]
+
+
+def depths(p):
+    # None is the whole audit, dim - 1; -1 asks for no flat of either kind
+    return [None, *range(-1, p.dim)]
+
+
+@pytest.mark.parametrize("spec", CACHE_SPECS, ids=str)
+def test_a_narrower_audit_reads_a_prefix_of_a_wider_one(spec):
+    p = generate(spec)
+    fresh_audits = {b: full_audit(generate(spec), b) for b in depths(p)}
+    fresh_walks = {
+        (kind, b): concentration._kind_reports(generate(spec), kind, b)
+        for kind in ("affine", "linear")
+        for b in range(-1, p.dim)
+    }
+    for a, b in itertools.product(depths(p), repeat=2):
+        warm = generate(spec)
+        full_audit(warm, a)
+        assert full_audit(warm, b) == fresh_audits[b], (a, b)
+    for kind in ("affine", "linear"):
+        for a, b in itertools.product(range(-1, p.dim), repeat=2):
+            warm = generate(spec)
+            concentration._kind_reports(warm, kind, a)
+            assert concentration._kind_reports(warm, kind, b) == fresh_walks[kind, b], (kind, a, b)
+
+
+def test_a_narrower_audit_walks_no_flat_and_a_wider_one_walks_again(monkeypatch):
+    real_walk = concentration._spanned_flats
+    sizes = []
+
+    def counting_walk(rows, max_size):
+        sizes.append(max_size)
+        return real_walk(rows, max_size)
+
+    monkeypatch.setattr(concentration, "_spanned_flats", counting_walk)
+    p = cube(4)
+    narrow = full_audit(p, 1)
+    assert sizes == [2, 1]
+    assert full_audit(p, 0) == [r for r in narrow if r.flat_dim <= 0]
+    assert full_audit(p, 1) == narrow and sizes == [2, 1]
+    assert full_audit(p) == full_audit(cube(4)) and sizes == [2, 1, 4, 3, 4, 3]
+    assert full_audit(p, 2) == full_audit(cube(4), 2) and sizes == [2, 1, 4, 3, 4, 3, 3, 2]
+
+
+def test_returned_lists_are_the_callers_own():
+    spec = GeneratorSpec("pyramid_over", 3, seed=1)
+    p = generate(spec)
+    expected_reports = full_audit(generate(spec))
+    expected_cases = equality_case_classification(generate(spec))
+    assert expected_cases
+    for max_flat_dim in (None, 1, None):
+        full_audit(p, max_flat_dim).clear()
+    equality_case_classification(p).clear()
+    assert full_audit(p) == expected_reports
+    assert full_audit(p, 1) == [r for r in expected_reports if r.flat_dim <= 1]
+    assert equality_case_classification(p) == expected_cases
+    assert equality_case_classification(p) is not equality_case_classification(p)
+
+
+def test_an_audited_polytope_is_still_checked_on_every_call():
+    p = cube(3)
+    full_audit(p)
+    with pytest.raises(TooManyFacets):
+        full_audit(p, facet_cap=p.facet_count - 1)
+    with pytest.raises(TooManyFacets):
+        full_audit(p, 1, facet_cap=p.facet_count - 1)
+    assert len(full_audit(p, facet_cap=p.facet_count)) == len(full_audit(cube(3)))
