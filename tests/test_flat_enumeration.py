@@ -197,6 +197,7 @@ def test_full_audit_leaves_no_reference_cycle():
     # makes is freed by reference counting alone
     for p in (random_centered(3, 8, 1), cube(3), cross_polytope(3)):
         full_audit(p)  # fills the polytope's caches
+        del p.__dict__["_walks"]  # so that the measured audit walks again
         gc.collect()
         gc.disable()
         try:
