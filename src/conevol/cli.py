@@ -47,7 +47,6 @@ from .polytope import (
     DEFAULT_DIM_CAP,
     Polytope,
     centroid,
-    is_pyramid,
     polar,
     pyramid_apexes,
     translate_to_centroid,
@@ -225,24 +224,12 @@ def cmd_audit(args: argparse.Namespace) -> tuple[str, int]:
     max_flat_dim = _audit_bound(p, args.max_flat_dim, args.facet_cap)
     reports = [r for kind in args.kinds for r in _kind_reports(p, kind, max_flat_dim)]
     cases = equality_case_classification(p)
-    violated = any(r.slack < 0 for r in reports)
-    code = 3 if violated else 0
-    doc = {
-        "tool": "conevol",
-        "version": __version__,
-        "input": echo,
-        "seed": (echo.get("generator") or {}).get("seed"),
-        "polytope": _polytope_summary(p),
-        "cone_volume_measure": measure_to_json(cone_volume_measure(p)),
-        "max_flat_dim": max_flat_dim,
-        "reports": [report_to_json(r) for r in reports],
-        "equality_cases": [equality_case_to_json(c) for c in cases],
-        "violations": sum(1 for r in reports if r.slack < 0),
-    }
+    measure = cone_volume_measure(p)
+    violations = sum(r.slack < 0 for r in reports)
+    code = 3 if violations else 0
     if args.format == "text":
         lines = [f"polytope: {_summary_text(p)}"]
-        m = cone_volume_measure(p)
-        weights = " ".join(f"{i}:{w}" for i, (_, w) in enumerate(m.atoms))
+        weights = " ".join(f"{i}:{w}" for i, (_, w) in enumerate(measure.atoms))
         lines.append(f"cone weights: {weights}")
         for r in reports:
             members = ",".join(str(i) for i in sorted(r.member_indices))
@@ -256,9 +243,21 @@ def cmd_audit(args: argparse.Namespace) -> tuple[str, int]:
             lines.append(
                 f"equality case: {c.kind} facet={c.facet_index} apex={c.apex_index}"
             )
-        if violated:
+        if violations:
             lines.append("VIOLATION: negative slack found")
         return "\n".join(lines) + "\n", code
+    doc = {
+        "tool": "conevol",
+        "version": __version__,
+        "input": echo,
+        "seed": (echo.get("generator") or {}).get("seed"),
+        "polytope": _polytope_summary(p),
+        "cone_volume_measure": measure_to_json(measure),
+        "max_flat_dim": max_flat_dim,
+        "reports": [report_to_json(r) for r in reports],
+        "equality_cases": [equality_case_to_json(c) for c in cases],
+        "violations": violations,
+    }
     return dumps(doc), code
 
 
@@ -266,21 +265,17 @@ def cmd_lift(args: argparse.Namespace) -> tuple[str, int]:
     p, echo = _load_polytope(args)
     p = _require_centered_input(p, args, echo)
     tower = build_tower(p, args.levels)
-    bounds = []
-    for i, a in enumerate(p.normals):
-        flat = affine_hull([a])
-        column = [tower_bound(p, flat, j) for j in range(1, args.levels + 1)]
-        if any(x <= y for x, y in zip(column, column[1:])):
-            raise TheoremViolation("tower bound column is not strictly decreasing")
-        bounds.append(
-            {
-                "facet": i,
-                "flat_dim": 0,
-                "weight": str(cone_volume_measure(p).weight(i)),
-                "levels": [str(x) for x in column],
-                "monotone": True,
-            }
-        )
+    # tower_bound reads a flat only through its dimension, 0 for every
+    # facet's singleton, so one column serves every facet
+    flat = affine_hull([p.normals[0]])
+    column = [tower_bound(p, flat, j) for j in range(1, args.levels + 1)]
+    if any(x <= y for x, y in zip(column, column[1:])):
+        raise TheoremViolation("tower bound column is not strictly decreasing")
+    levels = [str(x) for x in column]
+    bounds = [
+        {"facet": i, "flat_dim": 0, "weight": str(w), "levels": levels, "monotone": True}
+        for i, (_, w) in enumerate(cone_volume_measure(p).atoms)
+    ]
     doc = {
         "tool": "conevol",
         "version": __version__,
@@ -314,30 +309,26 @@ def cmd_polar(args: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_ispyramid(args: argparse.Namespace) -> tuple[str, int]:
     p, echo = _load_polytope(args)
-    found = is_pyramid(p)
-    apexes = [
-        {
-            "vertex_index": vi,
-            "base_facet": fi,
-            "apex": vector_to_json(p.vertices[vi]),
-        }
-        for vi, fi in pyramid_apexes(p)
-    ]
+    # the first pair is is_pyramid's: the lexicographically smallest apex
+    apexes = pyramid_apexes(p)
+    if args.format == "text":
+        if not apexes:
+            return "not a pyramid\n", 0
+        apex, base = apexes[0]
+        return (
+            f"pyramid: apex ({', '.join(vector_to_json(p.vertices[apex]))}) over facet {base}"
+            f" ({len(apexes)} apex(es) total)\n"
+        ), 0
     doc = {
         "tool": "conevol",
         "version": __version__,
         "input": echo,
-        "pyramid": found is not None,
-        "apexes": apexes,
+        "pyramid": bool(apexes),
+        "apexes": [
+            {"vertex_index": vi, "base_facet": fi, "apex": vector_to_json(p.vertices[vi])}
+            for vi, fi in apexes
+        ],
     }
-    if args.format == "text":
-        if found is None:
-            return "not a pyramid\n", 0
-        apex, base = found
-        return (
-            f"pyramid: apex ({', '.join(vector_to_json(apex))}) over facet {base}"
-            f" ({len(apexes)} apex(es) total)\n"
-        ), 0
     return dumps(doc), 0
 
 

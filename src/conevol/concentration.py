@@ -65,10 +65,10 @@ _FLATS = {"affine": AffineFlat, "linear": LinearSubspace}
 
 @dataclass(frozen=True)
 class ComplementWitness:
-    """A complementary flat L' with every normal in L u L' (resp. A u A')."""
+    """A complementary flat L' with every normal in L u L' (resp. A u A'):
+    the normals off the report's flat, ``complement_indices``, span it."""
 
     complement: Flat
-    member_indices: frozenset[int]
     complement_indices: frozenset[int]
 
 
@@ -194,7 +194,6 @@ def _report(
         if complementary(flat_type(p.dim, canonical), complement):
             witness = ComplementWitness(
                 complement=complement,
-                member_indices=members,
                 complement_indices=frozenset(range(p.facet_count)) - members,
             )
         elif kind == "linear":

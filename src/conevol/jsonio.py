@@ -22,7 +22,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
-from .concentration import ComplementWitness, ConcentrationReport, EqualityCase
+from .concentration import ConcentrationReport, EqualityCase
 from .cone_measure import ConeVolumeMeasure
 from .errors import DegenerateInput
 from .kernel import Vector, vector
@@ -126,17 +126,8 @@ def measure_to_json(m: ConeVolumeMeasure) -> dict[str, Any]:
     }
 
 
-def _witness_to_json(w: ComplementWitness | None) -> dict[str, Any] | None:
-    if w is None:
-        return None
-    return {
-        "complement_dim": w.complement.dim,
-        "member_indices": sorted(w.member_indices),
-        "complement_indices": sorted(w.complement_indices),
-    }
-
-
 def report_to_json(r: ConcentrationReport) -> dict[str, Any]:
+    w = r.witness
     return {
         "kind": r.kind,
         "flat_dim": r.flat_dim,
@@ -145,7 +136,11 @@ def report_to_json(r: ConcentrationReport) -> dict[str, Any]:
         "rhs": str(r.rhs),
         "slack": str(r.slack),
         "equality": r.equality,
-        "witness": _witness_to_json(r.witness),
+        "witness": None if w is None else {
+            "complement_dim": w.complement.dim,
+            "member_indices": sorted(r.member_indices),
+            "complement_indices": sorted(w.complement_indices),
+        },
     }
 
 

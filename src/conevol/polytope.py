@@ -83,7 +83,6 @@ from .kernel import (
     canonical_rows,
     complementary,
     integer_row,
-    rank_of_rows,
 )
 
 DEFAULT_DIM_CAP = 6
@@ -586,13 +585,15 @@ def _polar_hull(normals: Sequence[Vector], *, dim_cap: int) -> Polytope:
     It is the polar of the hull of the points a_i, and it is bounded
     exactly when the origin is interior to that hull.  Raises
     :class:`DegenerateInput` for a zero normal and :class:`Unbounded` when
-    the recession cone is nontrivial.
+    the recession cone is nontrivial: the hull's own rank test finds that
+    the normals do not span, or the origin is not interior to their hull.
     """
     if any(a.is_zero() for a in normals):
         raise DegenerateInput("zero normal vector")
-    if affine_hull(normals).dim < normals[0].dim:
-        raise Unbounded("recession cone is nontrivial")
-    hull = convex_hull(normals, dim_cap=dim_cap)
+    try:
+        hull = convex_hull(normals, dim_cap=dim_cap)
+    except DegenerateInput as exc:
+        raise Unbounded("recession cone is nontrivial") from exc
     if not hull.unit_rhs:
         raise Unbounded("recession cone is nontrivial")
     return polar(hull)
@@ -716,6 +717,8 @@ def section_profile_q(p: Polytope, u: Vector, t: Fraction | int) -> Fraction:
     the two-vertex faces of the face lattice, cross it.  In dimension 1
     the section is a point, and q is 1 / |u_k| when the hyperplane meets
     the segment.  ``t`` must be exact: a float raises :class:`TypeError`.
+    A section that spans less than dimension n - 1 has q = 0, as the hull's
+    own rank test finds; the hull is capped by the dimension of ``p``.
     """
     if u.dim != p.dim or u.is_zero():
         raise ValueError("direction must be a nonzero vector of the ambient dimension")
@@ -733,10 +736,12 @@ def section_profile_q(p: Polytope, u: Vector, t: Fraction | int) -> Fraction:
             if (si < c < sj) or (sj < c < si):
                 v, w = p.vertices[i], p.vertices[j]
                 candidates.add(v + (w - v).scale((c - si) / (sj - si)))
-    projected = {Vector(pt.coords[:k] + pt.coords[k + 1 :]) for pt in candidates}
-    if rank_of_rows([q.coords + (ONE,) for q in projected]) != p.dim:
+    projected = [Vector(pt.coords[:k] + pt.coords[k + 1 :]) for pt in candidates]
+    try:
+        section = convex_hull(projected, dim_cap=p.dim)
+    except DegenerateInput:
         return ZERO
-    return volume(convex_hull(projected)) / scale
+    return volume(section) / scale
 
 
 def pyramid_apexes(p: Polytope) -> tuple[tuple[int, int], ...]:

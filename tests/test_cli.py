@@ -14,8 +14,9 @@ from fractions import Fraction as F
 import pytest
 
 import conevol
-from conevol import concentration
+from conevol import cli, concentration
 from conevol.cli import main
+from conevol.lifting import tower_bound
 from conevol.concentration import ConcentrationReport
 from conevol.jsonio import dumps
 
@@ -303,6 +304,24 @@ class TestLift:
             assert b["monotone"] is True
             column = [F(x) for x in b["levels"]]
             assert all(x > y for x, y in zip(column, column[1:]))
+
+    def test_one_bound_column_for_every_facet(self, capsys, monkeypatch):
+        # tower_bound reads a singleton flat only through its dimension, 0
+        # for every facet: one call per level, however many facets
+        calls = []
+
+        def counted(p, flat, j):
+            calls.append(j)
+            return tower_bound(p, flat, j)
+
+        _, gen_out, _ = run_cli(["gen", "--kind", "cube", "--dim", "2"], capsys=capsys)
+        monkeypatch.setattr(cli, "tower_bound", counted)
+        code, out, _ = run_cli(["lift", "--levels", "3"], stdin=gen_out, capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 0
+        assert calls == [1, 2, 3]
+        bounds = json.loads(out)["singleton_bounds"]
+        assert [b["facet"] for b in bounds] == [0, 1, 2, 3]
+        assert all(b["levels"] == ["16/9", "5/3", "8/5"] for b in bounds)
 
     def test_facet_form_input(self, capsys, monkeypatch):
         doc = {"dim": 1, "normals": [["-1"], ["1"]]}

@@ -142,7 +142,7 @@ class TestAffine:
         assert w is not None
         assert w.complement.dim == 1
         assert w.complement.contains(v(-2, 1)) and w.complement.contains(v(1, -2))
-        assert w.member_indices | w.complement_indices == frozenset(range(3))
+        assert rep.member_indices | w.complement_indices == frozenset(range(3))
 
     def test_square_strict(self):
         sq = make_square()

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conevol.cli import main
-from conevol.errors import DegenerateInput, GeometryError, Unbounded
+from conevol import kernel, polytope
+from conevol.errors import CapExceeded, DegenerateInput, GeometryError, Unbounded
 from conevol.kernel import vector
 from conevol.polytope import convex_hull
 from conevol.cone_measure import cone_volume_measure
@@ -142,6 +143,40 @@ class TestPolytopeInterchange:
         with mock.patch.object(sys, "stdin", stdin), redirect_stdout(io.StringIO()), redirect_stderr(err):
             assert main(["polar"]) == 2
         assert "zero normal vector" in err.getvalue() and "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize(
+        "normals, error, message",
+        [
+            ([["1"]], Unbounded, "recession cone is nontrivial"),  # half-line
+            ([["1", "0"]], Unbounded, "recession cone is nontrivial"),  # half-plane
+            ([["1", "0"], ["-1", "0"], ["0", "1"]], Unbounded, "recession cone is nontrivial"),  # slab
+            ([["1", "0"], ["-1", "0"], ["2", "0"]], Unbounded, "recession cone is nontrivial"),  # parallel
+            ([["1", "0"], ["0", "1"], ["1", "1"]], Unbounded, "recession cone is nontrivial"),  # one sign
+            ([["1", "0"], ["0", "0"], ["-1", "-1"]], DegenerateInput, "zero normal vector"),
+        ],
+        ids=["half-line", "half-plane", "slab", "parallel", "one-sign", "zero"],
+    )
+    def test_malformed_facet_form_keeps_its_message(self, normals, error, message):
+        # the normals that do not span are refused by the hull's own rank
+        # test, and that refusal reads as the unbounded polytope it means
+        doc = {"dim": len(normals[0]), "normals": normals}
+        with pytest.raises(error, match=message):
+            polytope_from_json(doc)
+        stdin = io.TextIOWrapper(io.BytesIO(dumps(doc).encode()), encoding="utf-8")
+        err = io.StringIO()
+        with mock.patch.object(sys, "stdin", stdin), redirect_stdout(io.StringIO()), redirect_stderr(err):
+            assert main(["polar"]) == 2
+        assert err.getvalue() == f"conevol: {message}\n"
+
+    def test_facet_form_above_the_cap_is_refused_before_any_elimination(self, monkeypatch):
+        def elimination(*args):
+            raise AssertionError("an elimination ran before the dimension cap")
+
+        monkeypatch.setattr(kernel, "_extend", elimination)
+        monkeypatch.setattr(polytope, "_extend", elimination)
+        normals = [[str(s * int(i == k)) for k in range(7)] for i in range(7) for s in (1, -1)]
+        with pytest.raises(CapExceeded, match="dimension 7 exceeds cap 6"):
+            polytope_from_json({"dim": 7, "normals": normals})
 
     def test_parse_vector_shape(self):
         assert parse_vector(["1/2", "-3"], 2) == v(F(1, 2), -3)

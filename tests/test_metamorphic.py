@@ -11,7 +11,8 @@ dimension, and each witness the image complement.  Every facet cone moves
 by T, so each cone volume, vol(P), and with them every report's lhs, rhs
 and slack scale by |det T|; equality and the equality cases (pyramid bases,
 apexes, faces of simple polytopes) carry over.  The pyramid lift puts P
-at height 1 under a fixed apex, so lift(T·P) = (T (+) 1)·lift(P).  A
+at height 1 under a fixed apex, so lift(T·P) = (T (+) 1)·lift(P), and level
+j of the tower of T·P is (T (+) I_j)·(level j of the tower of P).  A
 permutation of the input vertices changes nothing: the hull is canonical,
 and the audit documents are byte-identical.
 
@@ -30,8 +31,9 @@ from conevol.concentration import equality_case_classification, full_audit
 from conevol.generators import GeneratorSpec, generate
 from conevol.jsonio import dumps, equality_case_to_json, report_to_json
 from conevol.kernel import determinant, matrix, vector
-from conevol.lifting import pyramid_lift
+from conevol.lifting import build_tower, pyramid_lift
 from conevol.polytope import convex_hull, volume
+from test_flat_enumeration import gate_corpus
 
 SPECS = [GeneratorSpec("cube", n) for n in (2, 3, 4)]
 SPECS += [GeneratorSpec("cross", n) for n in (2, 3)]
@@ -109,6 +111,34 @@ def test_audits_commute_with_invertible_maps(spec):
         assert image_cases == expected_cases
         lifted = [row + [F(0)] for row in rows] + [[F(0)] * p.dim + [F(1)]]
         assert pyramid_lift(image) == convex_hull([apply(lifted, w) for w in pyramid_lift(p).vertices])
+
+
+def gate_sample():
+    """The acceptance gate's corpus less most random polytopes: every
+    canonical shape, then the first 20 of the 200 seeded random polytopes
+    of each dimension 2-4, which close the corpus in that order."""
+    corpus = gate_corpus()
+    shapes, randoms = corpus[:-600], corpus[-600:]
+    return shapes + tuple(p for start in (0, 200, 400) for p in randoms[start : start + 20])
+
+
+def test_towers_commute_with_invertible_maps():
+    # one seeded map per polytope; the levels above dimension 6 are built
+    # from the closed form, unverified, and must map all the same
+    sample = gate_sample()
+    for index, p in enumerate(sample):
+        rows, det = invertible_map(p.dim, random.Random(f"tower/{index}"))
+        image, _, _ = mapped(p, rows)
+        tower, image_tower = build_tower(p, 3), build_tower(image, 3)
+        for level, image_level in zip(tower.levels, image_tower.levels):
+            j = level.level
+            lifted = [row + [F(0)] * j for row in rows]
+            lifted += [[F(0)] * (p.dim + k) + [F(1)] + [F(0)] * (j - k - 1) for k in range(j)]
+            expected = convex_hull([apply(lifted, w) for w in level.polytope.vertices], dim_cap=p.dim + j)
+            assert image_level.polytope == expected, (index, j)
+            assert image_level.volume == abs(det) * level.volume
+            assert image_level.verified == level.verified
+    assert len(sample) == 73
 
 
 def audit_document(p):

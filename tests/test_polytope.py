@@ -375,6 +375,18 @@ class TestSections:
         for t in (0, F(1, 4), F(1, 2)):
             assert section_profile_q(p, v(2, 0), t) == section_profile_q(p, v(1, 0), 2 * t) / 2
 
+    def test_section_is_capped_by_its_polytope(self):
+        # the 7-dimensional section of an 8-polytope built above the default
+        # cap is hulled under the polytope's own dimension: the 7-cross-
+        # polytope of radius 1/2
+        p = cross_polytope(8, dim_cap=9)
+        assert section_profile_q(p, unit_vector(8, 0), F(1, 2)) == F(1, 5040)
+
+    def test_section_through_one_vertex_is_zero(self):
+        p = cross_polytope(7, dim_cap=7)
+        assert section_profile_q(p, unit_vector(7, 0), 1) == 0
+        assert section_profile_q(p, unit_vector(7, 0), F(1, 2)) == F(1, 720)
+
     def test_triangle_profile(self):
         p = convex_hull([v(-1, 1), v(1, 1), v(0, -2)])
         e2 = v(0, 1)
